@@ -1,26 +1,25 @@
-"""Parameter sweeps: run an experiment over a grid and collect rows.
+"""Parameter-sweep grids and their flat summary tables.
 
-Every bench in ``benchmarks/`` is a sweep over one or two parameters (cycle
-size, slack fraction, resilience budget, number of glued instances, ...);
-this tiny driver keeps the row-collection code uniform and makes the sweeps
-reusable from the example scripts and the tests.
+:meth:`repro.api.Session.sweep` expands a grid with :func:`grid_points`,
+runs one request per point, and collects one :func:`merge_point_row` row per
+point into a :class:`SweepResult`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
-__all__ = ["SweepResult", "sweep", "sweep_points", "grid_points", "merge_point_row"]
+__all__ = ["SweepResult", "grid_points", "merge_point_row"]
 
 
 @dataclass
 class SweepResult:
     """The rows produced by a sweep.
 
-    Each row is a flat dict: the sweep parameters plus whatever the
-    experiment function returned for that parameter combination.
+    Each row is a flat dict: the sweep parameters plus the values measured
+    at that parameter combination.
     """
 
     rows: List[Dict[str, object]] = field(default_factory=list)
@@ -47,7 +46,23 @@ class SweepResult:
 
 def grid_points(parameters: Mapping[str, Sequence[object]]) -> List[Dict[str, object]]:
     """The grid of a sweep: the Cartesian product of the parameter values in
-    the given key order, one dict per point."""
+    the given key order, one dict per point.
+
+    A grid with no axes, an axis with no values, and an axis whose values
+    are a string or not a sequence at all raise ``ValueError`` naming the
+    axis, instead of sweeping one preset point, nothing, or the characters
+    of a string.
+    """
+    if not parameters:
+        raise ValueError("sweep grid has no axes; give each swept parameter a list of values")
+    for name, values in parameters.items():
+        if isinstance(values, str) or not isinstance(values, Sequence):
+            raise ValueError(
+                f"sweep grid axis {name!r} must be a list of values, "
+                f"got {type(values).__name__} {values!r}"
+            )
+        if not values:
+            raise ValueError(f"sweep grid axis {name!r} has no values")
     names = list(parameters.keys())
     return [
         dict(zip(names, values))
@@ -74,45 +89,3 @@ def merge_point_row(
     row: Dict[str, object] = dict(point)
     row.update(measured)
     return row
-
-
-def sweep(
-    experiment: Callable[..., Mapping[str, object]],
-    parameters: Mapping[str, Sequence[object]],
-) -> SweepResult:
-    """Run ``experiment(**point)`` for every point of the parameter grid.
-
-    Parameters
-    ----------
-    experiment:
-        A callable taking the grid parameters as keyword arguments and
-        returning a mapping of measured values.
-    parameters:
-        Mapping parameter name -> sequence of values; the grid is the
-        Cartesian product in the given key order.
-
-    Returns
-    -------
-    SweepResult
-        One row per grid point, containing both the parameters and the
-        measurements.  A measurement key colliding with a parameter name
-        raises ``ValueError`` (see :func:`merge_point_row`).
-    """
-    return sweep_points(experiment, grid_points(parameters))
-
-
-def sweep_points(
-    experiment: Callable[..., Mapping[str, object]],
-    points: Sequence[Mapping[str, object]],
-) -> SweepResult:
-    """Run ``experiment(**point)`` for an explicit list of points.
-
-    :func:`sweep` is the Cartesian-grid special case; the explicit-points
-    form is for point lists produced elsewhere (a filtered grid, points read
-    from a file, a subset of a spec-resolved request grid, ...).
-    """
-    result = SweepResult()
-    for point in points:
-        measured = dict(experiment(**point))
-        result.rows.append(merge_point_row(dict(point), measured))
-    return result

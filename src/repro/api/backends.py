@@ -1,24 +1,21 @@
 """Pluggable execution backends for the :class:`repro.api.Session` facade.
 
-A backend receives **request payloads** — the JSON-shaped dicts produced by
-:meth:`repro.api.RunRequest.to_payload` — and yields
-:class:`~repro.harness.results.ExperimentResult` objects **in submission
-order**.  The facade owns everything else (spec resolution, cache probes and
-writes, progress events); backends own only *where and how* the experiment
-functions execute:
+A backend receives **fusion groups** of request payloads — the JSON-shaped
+dicts produced by :meth:`repro.api.RunRequest.to_payload` — and yields
+:class:`~repro.harness.results.ExperimentResult` objects flattened in
+**submission order**.  A plain request is a group of one; a fused sweep
+groups the points that share a construction
+(:class:`~repro.engine.fusion.FusedSweepPlan`).  The facade owns everything
+else (spec resolution, grouping, cache probes and writes, progress events);
+backends own only *where and how* the experiment functions execute:
 
 ``inline``
-    In the calling process, one request at a time, lazily — the default.
+    In the calling process, lazily one request at a time (a multi-point
+    group runs to completion under its fusion context first) — the default.
 ``process-pool``
-    Over a ``ProcessPoolExecutor``, via the existing
-    :class:`~repro.engine.parallel.ParallelSweepRunner` fan-out primitives;
-    all requests are submitted eagerly and results stream back in
-    submission order.
-``batch``
-    Serialized execution: the whole batch is round-tripped through its JSON
-    encoding first (proving every request is portable off-process), then
-    executed sequentially from the decoded manifest.  This is the queue-shaped
-    backend the future sharded/remote executors slot in behind.
+    Over a ``ProcessPoolExecutor`` via :func:`repro.engine.parallel.imap`:
+    one worker task per group, all submitted eagerly, results streaming
+    back in submission order.
 
 Because payloads are plain JSON-able dicts and the worker entry point
 (:func:`execute_payload`) resolves experiments through the registry by id,
@@ -33,7 +30,7 @@ import time
 from typing import Dict, Iterator, Optional, Sequence, Union
 
 from repro.engine.fusion import fusion_scope
-from repro.engine.parallel import ParallelSweepRunner
+from repro.engine.parallel import imap
 from repro.harness.results import ExperimentResult
 from repro.obs import TraceRecorder, get_recorder, use_recorder
 
@@ -41,7 +38,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ProcessPoolBackend",
-    "BatchBackend",
     "BACKEND_CHOICES",
     "resolve_backend",
     "execute_payload",
@@ -70,7 +66,7 @@ def execute_group_payload(
 ) -> list:
     """Run one fusion group's payloads in submission order under a shared
     :class:`~repro.engine.fusion.FusionContext` (top-level, picklable — the
-    worker entry point of grouped execution).
+    worker entry point of the process pool).
 
     Singleton groups skip the context: there is nothing to share, and the
     plain path is what the group would be bit-identical to anyway.
@@ -85,43 +81,29 @@ def _result_from(record: Dict[str, object]) -> ExperimentResult:
     return ExperimentResult.from_dict(record)
 
 
-def _traced_execute_payload(item: Dict[str, object]) -> Dict[str, object]:
-    """Worker entry point of the telemetry path (top-level, picklable).
-
-    Runs the payload under a fresh in-process :class:`TraceRecorder` and
-    ships the export back next to the result — the worker-side half of the
-    cross-process merge contract.  ``queue_wait_seconds`` is the wall time
-    between the parent stamping the item at submission and the worker
-    starting it (same-host clocks; clamped at zero against skew).
-    """
-    payload: Dict[str, object] = item["payload"]  # type: ignore[assignment]
-    queue_wait = max(0.0, time.time() - float(item["submitted_at"]))
-    recorder = TraceRecorder()
-    with use_recorder(recorder):
-        with recorder.span(
-            "backend.worker",
-            experiment_id=str(payload.get("experiment_id")),
-            pid=os.getpid(),
-            queue_wait_seconds=round(queue_wait, 6),
-        ):
-            record = execute_payload(payload)
-    return {
-        "record": record,
-        "telemetry": recorder.export(),
-        "queue_wait_seconds": queue_wait,
-    }
+def _group_experiment_id(payloads: Sequence[Dict[str, object]]) -> Optional[str]:
+    return str(payloads[0].get("experiment_id")) if payloads else None
 
 
 def _traced_execute_group(item: Dict[str, object]) -> Dict[str, object]:
-    """Grouped counterpart of :func:`_traced_execute_payload`: runs one
-    fusion group under a fresh worker recorder (the ``engine.fuse_group``
-    span and its hit/miss tallies ride back inside the export)."""
+    """Worker entry point of the telemetry path (top-level, picklable).
+
+    Runs one group under a fresh in-process :class:`TraceRecorder` and ships
+    the export back next to the records — the worker-side half of the
+    cross-process merge contract (a fused group's ``engine.fuse_group`` span
+    and its hit/miss tallies ride back inside the export).
+    ``queue_wait_seconds`` is the wall time between the parent stamping the
+    item at submission and the worker starting it (same-host clocks; clamped
+    at zero against skew).
+    """
     payloads: Sequence[Dict[str, object]] = item["payloads"]  # type: ignore[assignment]
     queue_wait = max(0.0, time.time() - float(item["submitted_at"]))
     recorder = TraceRecorder()
     with use_recorder(recorder):
         with recorder.span(
             "backend.worker",
+            backend=ProcessPoolBackend.name,
+            experiment_id=_group_experiment_id(payloads),
             pid=os.getpid(),
             points=len(payloads),
             queue_wait_seconds=round(queue_wait, 6),
@@ -135,19 +117,15 @@ def _traced_execute_group(item: Dict[str, object]) -> Dict[str, object]:
 
 
 class ExecutionBackend:
-    """Interface: run payloads, yield results in submission order.
+    """Interface: run fusion groups, yield results in submission order.
 
     ``registry`` lets a session execute against a custom spec registry; the
-    ``process-pool`` backend ignores it because a worker process can only
-    resolve ids through the importable global registry.
+    ``process-pool`` backend rejects any other than the shipped one, because
+    a worker process can only resolve ids through the importable global
+    registry.
     """
 
     name = "abstract"
-
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        raise NotImplementedError
 
     def execute_grouped(
         self,
@@ -155,16 +133,14 @@ class ExecutionBackend:
         registry=None,
     ) -> Iterator[ExperimentResult]:
         """Execute fusion groups, yielding results flattened in group order
-        (submission order within each group).
+        (submission order within each group)."""
+        raise NotImplementedError
 
-        The base implementation runs each group through :meth:`execute`
-        with no shared context — correct for every backend (fusion shares
-        work, never randomness), so backends unaware of fusion keep working;
-        the inline and process-pool backends override this to install a
-        :class:`~repro.engine.fusion.FusionContext` per group.
-        """
-        for payloads in groups:
-            yield from self.execute(payloads, registry)
+    def execute(
+        self, payloads: Sequence[Dict[str, object]], registry=None
+    ) -> Iterator[ExperimentResult]:
+        """Execute unrelated payloads: each one is a group of its own."""
+        return self.execute_grouped([[payload] for payload in payloads], registry)
 
 
 class InlineBackend(ExecutionBackend):
@@ -172,52 +148,44 @@ class InlineBackend(ExecutionBackend):
 
     name = "inline"
 
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        recorder = get_recorder()
-        for payload in payloads:
-            with recorder.span(
-                "backend.task",
-                backend=self.name,
-                experiment_id=str(payload.get("experiment_id")),
-            ):
-                record = execute_payload(payload, registry)
-            yield _result_from(record)
-
     def execute_grouped(
         self,
         groups: Sequence[Sequence[Dict[str, object]]],
         registry=None,
     ) -> Iterator[ExperimentResult]:
         recorder = get_recorder()
+
+        def run(payload: Dict[str, object]) -> ExperimentResult:
+            with recorder.span(
+                "backend.task",
+                backend=self.name,
+                experiment_id=str(payload.get("experiment_id")),
+            ):
+                record = execute_payload(payload, registry)
+            return _result_from(record)
+
         for payloads in groups:
             if len(payloads) <= 1:
-                yield from self.execute(payloads, registry)
+                # Lazy: nothing runs before the consumer asks for it.
+                yield from map(run, payloads)
                 continue
-            # Eager within the group: the fusion context must not stay
+            # Eager within a fused group: the fusion context must not stay
             # installed across yields (a generator's ContextVar writes leak
             # into the consumer between next() calls), so the group runs to
             # completion under the scope and the results stream out after.
-            results = []
             with fusion_scope(points=len(payloads), backend=self.name):
-                for payload in payloads:
-                    with recorder.span(
-                        "backend.task",
-                        backend=self.name,
-                        experiment_id=str(payload.get("experiment_id")),
-                    ):
-                        record = execute_payload(payload, registry)
-                    results.append(_result_from(record))
+                results = [run(payload) for payload in payloads]
             yield from results
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan requests out over worker processes.
+    """Fan groups out over worker processes.
 
-    Built on :meth:`ParallelSweepRunner.imap`: submission is eager, results
-    stream back in submission order, and a pool is created per batch so the
-    backend object itself stays picklable and stateless.
+    Built on :func:`repro.engine.parallel.imap`: one worker task per group
+    (fusion happens inside the worker — a shared matrix cannot cross process
+    boundaries), eager submission, results streaming back in submission
+    order, and a pool per call so the backend object itself stays picklable
+    and stateless.
     """
 
     name = "process-pool"
@@ -240,71 +208,37 @@ class ProcessPoolBackend(ExecutionBackend):
                 raise ValueError(
                     "the process-pool backend resolves experiment ids through the "
                     "shipped repro.harness.registry.REGISTRY inside its worker "
-                    "processes; use the inline or batch backend with a custom registry"
+                    "processes; use the inline backend with a custom registry"
                 )
-
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        self._check_registry(registry)
-        runner = ParallelSweepRunner(max_workers=self.max_workers, seed_parameter=None)
-        recorder = get_recorder()
-        if not recorder.active:
-            for record in runner.imap(execute_payload, list(payloads)):
-                yield _result_from(record)
-            return
-        # Telemetry path: each worker runs under its own TraceRecorder and
-        # ships the export back with the result; the parent re-attaches it
-        # under a per-task span, in submission order, so the merged trace
-        # reads like one process (queue wait vs compute split out).
-        items = [
-            {"payload": payload, "submitted_at": time.time()} for payload in payloads
-        ]
-        for item, wrapped in zip(items, runner.imap(_traced_execute_payload, items)):
-            telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
-            worker_spans = telemetry.get("spans") or []
-            compute = worker_spans[0].get("wall_seconds", 0.0) if worker_spans else 0.0
-            with recorder.span(
-                "backend.task",
-                backend=self.name,
-                experiment_id=str(item["payload"].get("experiment_id")),
-                queue_wait_seconds=round(float(wrapped["queue_wait_seconds"]), 6),
-                compute_seconds=round(float(compute), 6),
-            ):
-                recorder.merge(telemetry)
-            yield _result_from(wrapped["record"])
 
     def execute_grouped(
         self,
         groups: Sequence[Sequence[Dict[str, object]]],
         registry=None,
     ) -> Iterator[ExperimentResult]:
-        """Shard across fusion groups: one worker task per group, fusion
-        inside the worker (a shared matrix cannot cross process boundaries),
-        results streaming back flattened in group-submission order."""
         self._check_registry(registry)
-        runner = ParallelSweepRunner(max_workers=self.max_workers, seed_parameter=None)
-        recorder = get_recorder()
         tasks = [list(payloads) for payloads in groups]
+        recorder = get_recorder()
         if not recorder.active:
-            for records in runner.imap(execute_group_payload, tasks):
+            for records in imap(execute_group_payload, tasks, self.max_workers):
                 for record in records:
                     yield _result_from(record)
             return
-        items = [
-            {"payloads": payloads, "submitted_at": time.time()} for payloads in tasks
-        ]
-        for item, wrapped in zip(items, runner.imap(_traced_execute_group, items)):
+        # Telemetry path: each worker runs under its own TraceRecorder and
+        # ships the export back with the records; the parent re-attaches it
+        # under a per-task span, in submission order, so the merged trace
+        # reads like one process (queue wait vs compute split out).
+        items = [{"payloads": payloads, "submitted_at": time.time()} for payloads in tasks]
+        traced = imap(_traced_execute_group, items, self.max_workers)
+        for payloads, wrapped in zip(tasks, traced):
             telemetry: Dict[str, object] = wrapped["telemetry"]  # type: ignore[assignment]
             worker_spans = telemetry.get("spans") or []
             compute = worker_spans[0].get("wall_seconds", 0.0) if worker_spans else 0.0
             with recorder.span(
                 "backend.task",
                 backend=self.name,
-                experiment_id=str(item["payloads"][0].get("experiment_id"))
-                if item["payloads"]
-                else None,
-                points=len(item["payloads"]),
+                experiment_id=_group_experiment_id(payloads),
+                points=len(payloads),
                 queue_wait_seconds=round(float(wrapped["queue_wait_seconds"]), 6),
                 compute_seconds=round(float(compute), 6),
             ):
@@ -313,46 +247,8 @@ class ProcessPoolBackend(ExecutionBackend):
                 yield _result_from(record)
 
 
-class BatchBackend(ExecutionBackend):
-    """Serialized-batch execution.
-
-    The batch is encoded to a :mod:`repro.api.wire` manifest up front — any
-    unserializable request fails loudly at submission, not halfway through a
-    shard — and the *decoded* manifest is what actually runs.
-    ``last_manifest`` keeps the most recent encoding for inspection and for
-    handing off to external queue runners; the experiment service speaks the
-    same wire records, so there is one serialization, not two.
-    """
-
-    name = "batch"
-
-    def __init__(self) -> None:
-        self.last_manifest: Optional[str] = None
-
-    def execute(
-        self, payloads: Sequence[Dict[str, object]], registry=None
-    ) -> Iterator[ExperimentResult]:
-        # Local import: backends is imported by repro.api.session, which the
-        # wire module needs for RunRequest — the one deliberate cycle in the
-        # package, broken here.
-        from repro.api.wire import decode_manifest, encode_manifest
-
-        manifest = encode_manifest(payloads)
-        self.last_manifest = manifest
-        requests = decode_manifest(manifest)
-        recorder = get_recorder()
-        for request in requests:
-            with recorder.span(
-                "backend.task",
-                backend=self.name,
-                experiment_id=request.experiment_id,
-            ):
-                record = execute_payload(request.to_payload(), registry)
-            yield _result_from(record)
-
-
 #: Backend names accepted by :func:`resolve_backend` (and the CLI).
-BACKEND_CHOICES = ("inline", "process-pool", "batch")
+BACKEND_CHOICES = ("inline", "process-pool")
 
 
 def resolve_backend(
@@ -373,6 +269,4 @@ def resolve_backend(
         return InlineBackend()
     if backend == "process-pool":
         return ProcessPoolBackend(max_workers=parallel)
-    if backend == "batch":
-        return BatchBackend()
     raise ValueError(f"unknown backend {backend!r}; expected one of {BACKEND_CHOICES}")

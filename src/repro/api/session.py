@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    Hashable,
     Iterator,
     List,
     Mapping,
@@ -197,7 +198,7 @@ class Session:
         ``False`` to disable caching, a path for an explicit cache directory,
         or a :class:`ResultCache` instance.
     backend:
-        ``"inline"`` (default), ``"process-pool"``, ``"batch"``, or an
+        ``"inline"`` (default), ``"process-pool"``, or an
         :class:`ExecutionBackend` instance.
     parallel:
         Worker count for the ``process-pool`` backend; with the default
@@ -291,9 +292,9 @@ class Session:
         request order** as each becomes available.
 
         Cache hits are served immediately; misses go through the session
-        backend in one batch.  Fresh results are written back to the cache as
-        they arrive, so an interrupted iteration keeps everything already
-        yielded.
+        backend in one call, each as a group of its own.  Fresh results are
+        written back to the cache as they arrive, so an interrupted iteration
+        keeps everything already yielded.
 
         The session's telemetry recorder is installed as the ambient
         :mod:`repro.obs` recorder for the duration of the iteration (pushed
@@ -322,13 +323,19 @@ class Session:
         self,
         requests: Sequence[RunRequest],
         progress: Optional[ProgressCallback],
-        plan: Optional[FusedSweepPlan] = None,
+        group_of: Callable[[int], Hashable] = lambda index: index,
     ) -> Iterator[RunReport]:
+        """The one execution loop.  Cache misses are partitioned into fusion
+        groups by ``group_of(request index)`` — by default every miss is a
+        group of its own, in request order — and the backend runs the groups
+        (sharding across them, fusing within each).  Results arrive flattened
+        in group order, which for singleton groups is request order; they
+        are buffered just long enough to yield in request order."""
         emit = progress if progress is not None else self.progress
         total = len(requests)
 
         cached: Dict[int, Tuple[RunReport, str]] = {}
-        misses: List[Tuple[int, RunRequest, Optional[str]]] = []
+        groups: Dict[Hashable, List[Tuple[int, RunRequest, Optional[str]]]] = {}
         for index, request in enumerate(requests):
             key = None
             if self.cache is not None:
@@ -350,26 +357,26 @@ class Session:
                             key,
                         )
                         continue
-            misses.append((index, request, key))
+            groups.setdefault(group_of(index), []).append((index, request, key))
 
-        if plan is not None:
-            yield from self._run_grouped(requests, cached, misses, plan, emit, total)
-            return
-
-        executing = self.backend.execute(
-            [request.to_payload() for _, request, _ in misses], registry=self.registry
+        executing = self.backend.execute_grouped(
+            [[request.to_payload() for _, request, _ in group] for group in groups.values()],
+            registry=self.registry,
         )
-        miss_iterator = iter(misses)
+        arrival_order = iter([entry for group in groups.values() for entry in group])
+        ready: Dict[int, RunReport] = {}
         for index, request in enumerate(requests):
             if index in cached:
                 yield self._serve_cached(cached[index], index, total, emit)
                 continue
-            miss_index, miss_request, key = next(miss_iterator)
-            assert miss_index == index
-            if emit is not None:
-                emit(ProgressEvent("start", request, index, total))
-            report = self._execute_miss(executing, request, key, index, total, emit)
-            yield report
+            while index not in ready:
+                miss_index, miss_request, key = next(arrival_order)
+                if emit is not None:
+                    emit(ProgressEvent("start", miss_request, miss_index, total))
+                ready[miss_index] = self._execute_miss(
+                    executing, miss_request, key, miss_index, total, emit
+                )
+            yield ready.pop(index)
 
     def _serve_cached(
         self,
@@ -429,53 +436,6 @@ class Session:
             emit(ProgressEvent("done", request, index, total, report))
         return report
 
-    def _run_grouped(
-        self,
-        requests: Sequence[RunRequest],
-        cached: Dict[int, Tuple[RunReport, str]],
-        misses: List[Tuple[int, RunRequest, Optional[str]]],
-        plan: FusedSweepPlan,
-        emit: Optional[ProgressCallback],
-        total: int,
-    ) -> Iterator[RunReport]:
-        """The fused execution path: misses are partitioned into the plan's
-        fusion groups, the backend shards across groups (fusing within each),
-        and results — which arrive flattened in group order, not request
-        order — are buffered just long enough to yield in request order."""
-        grouped: Dict[int, List[Tuple[int, RunRequest, Optional[str]]]] = {}
-        group_order: List[int] = []
-        for entry in misses:
-            group = plan.group_of(entry[0])
-            if group not in grouped:
-                group_order.append(group)
-                grouped[group] = []
-            grouped[group].append(entry)
-        group_lists = [grouped[group] for group in group_order]
-        executing = self.backend.execute_grouped(
-            [[request.to_payload() for _, request, _ in group] for group in group_lists],
-            registry=self.registry,
-        )
-        arrival_order = iter([entry for group in group_lists for entry in group])
-        ready: Dict[int, RunReport] = {}
-        for index, request in enumerate(requests):
-            if index in cached:
-                yield self._serve_cached(cached[index], index, total, emit)
-                continue
-            while index not in ready:
-                try:
-                    miss_index, miss_request, key = next(arrival_order)
-                except StopIteration:  # pragma: no cover - mirrors _execute_miss
-                    raise RuntimeError(
-                        f"backend {self.backend.name!r} yielded fewer results "
-                        f"than requests during a fused sweep"
-                    ) from None
-                if emit is not None:
-                    emit(ProgressEvent("start", miss_request, miss_index, total))
-                ready[miss_index] = self._execute_miss(
-                    executing, miss_request, key, miss_index, total, emit
-                )
-            yield ready.pop(index)
-
     def run_many(
         self,
         requests: Sequence[RunRequest],
@@ -531,13 +491,16 @@ class Session:
         """A first-class parameter sweep: the Cartesian grid becomes one
         :class:`RunRequest` per point, executed through the session backend.
 
-        Seeding follows the :class:`~repro.engine.parallel.ParallelSweepRunner`
-        convention: when the session has a master seed and the spec declares
-        the seed contract, each point receives a seed derived from the master
-        seed and the point's own parameters — independent of backend, worker
-        count, and grid shape.  The returned :class:`SweepReport` carries the
-        per-point reports plus a flat :class:`SweepResult` summary table
-        (point parameters + verdict/provenance columns) in grid order.
+        Seeding: when the session has a master seed, the spec declares the
+        seed contract, and neither the grid nor the fixed overrides pin a
+        ``seed``, each point receives
+        :func:`~repro.engine.parallel.point_seed` of the master seed and the
+        point's own parameters — independent of backend, worker count, and
+        grid shape.  A grid with no axes, an empty axis, or an axis that is
+        not a list of values raises ``ValueError``.  The returned
+        :class:`SweepReport` carries the per-point reports plus a flat
+        :class:`SweepResult` summary table (point parameters +
+        verdict/provenance columns) in grid order.
 
         ``fuse`` selects whole-sweep fusion (:mod:`repro.engine.fusion`):
         points sharing a construction configuration execute against one
@@ -597,7 +560,7 @@ class Session:
                     fused_points=plan.fused_points,
                     backend=self.backend.name,
                 ):
-                    run_reports = list(self._run_iter(requests, progress, plan=plan))
+                    run_reports = list(self._run_iter(requests, progress, plan.group_of))
             else:
                 run_reports = list(self._run_iter(requests, progress))
         finally:

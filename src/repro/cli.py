@@ -6,7 +6,7 @@ Usage::
     python -m repro run E1 E3 --output-dir results/
     python -m repro run all --quick --parallel 2 --seed 7
     python -m repro run E5 --engine exact --no-cache
-    python -m repro run all --quick --backend batch
+    python -m repro run all --quick --backend process-pool
     python -m repro run all --quick --trace trace.jsonl --metrics
     python -m repro cache stats
     python -m repro serve --port 8765

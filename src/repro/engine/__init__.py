@@ -26,13 +26,13 @@ Layers
   deciders on top, so the derandomization estimators (success probability,
   far acceptance, the Claim 3/Theorem 1 amplification runs) need no
   per-trial Python;
-* :mod:`repro.engine.parallel` — :class:`ParallelSweepRunner`, the
-  process-pool counterpart of :func:`repro.analysis.sweep.sweep` with
-  deterministic per-point seeding;
+* :mod:`repro.engine.parallel` — :func:`~repro.engine.parallel.imap`, the
+  submission-order process-pool fan-out behind the ``process-pool``
+  backend, and :func:`point_seed`, the deterministic per-point sweep seed;
 * :mod:`repro.engine.cache` — :class:`ResultCache`, the content-addressed
   JSON result store behind the CLI's default caching (key: experiment id +
-  parameters + seed + package version; see the module docstring for the
-  invalidation rule).
+  normalized parameters, seed included, + package version; see the module
+  docstring for the invalidation rule).
 
 Fast path vs. reference path (guide for decider authors)
 --------------------------------------------------------
@@ -62,7 +62,7 @@ from repro.engine.adapters import (
     engine_success_counts,
     resolve_engine,
 )
-from repro.engine.cache import ResultCache, cache_key, default_cache_dir, request_cache_key
+from repro.engine.cache import ResultCache, default_cache_dir, request_cache_key
 from repro.engine.compiler import (
     MAX_PROGRAM_DRAWS,
     CompiledDecision,
@@ -105,7 +105,7 @@ from repro.engine.executor import (
     exact_single_trial_votes,
     vote_matrix,
 )
-from repro.engine.parallel import ParallelSweepRunner, point_seed
+from repro.engine.parallel import point_seed
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
@@ -116,7 +116,6 @@ __all__ = [
     "CompiledDecision",
     "ConstructionCompilationError",
     "OutputExpr",
-    "ParallelSweepRunner",
     "ProgramCompilationError",
     "ResultCache",
     "VoteExpr",
@@ -127,7 +126,6 @@ __all__ = [
     "any_of",
     "bernoulli_output",
     "branch",
-    "cache_key",
     "coin",
     "compile_construction",
     "compile_decision",

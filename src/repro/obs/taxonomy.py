@@ -62,14 +62,16 @@ SIGNALS: Tuple[Signal, ...] = (
         "backend.task",
         "span",
         "api/backends.py",
-        "per payload, parent side; the pool backend adds queue-wait vs "
+        "parent side, per request (inline) or per group task (pool): backend, "
+        "experiment id; the pool backend adds point count and queue-wait vs "
         "compute seconds",
     ),
     Signal(
         "backend.worker",
         "span",
         "api/backends.py",
-        "worker side, pool only: worker pid, queue wait",
+        "worker side, pool only: backend, experiment id, worker pid, point "
+        "count, queue wait",
     ),
     Signal("parallel.submit", "span", "engine/parallel.py", "task count, worker count"),
     Signal(

@@ -13,7 +13,7 @@ from repro.analysis.metrics import (
     independent_set_size,
     matching_size,
 )
-from repro.analysis.sweep import SweepResult, sweep
+from repro.analysis.sweep import SweepResult, grid_points, merge_point_row
 from repro.analysis.tables import format_series, format_table
 from repro.core.languages import Configuration
 from repro.core.lcl import ProperColoring
@@ -75,19 +75,29 @@ class TestLogStar:
 
 class TestSweep:
     def test_grid_is_cartesian_product(self):
-        result = sweep(lambda a, b: {"sum": a + b}, {"a": [1, 2], "b": [10, 20]})
-        assert len(result) == 4
-        assert result.column("sum") == [11, 21, 12, 22]
+        points = grid_points({"a": [1, 2], "b": [10, 20]})
+        assert points == [
+            {"a": 1, "b": 10},
+            {"a": 1, "b": 20},
+            {"a": 2, "b": 10},
+            {"a": 2, "b": 20},
+        ]
 
     def test_filter_and_column(self):
-        result = sweep(lambda a, b: {"sum": a + b}, {"a": [1, 2], "b": [10, 20]})
+        result = SweepResult(
+            rows=[
+                merge_point_row(point, {"sum": point["a"] + point["b"]})
+                for point in grid_points({"a": [1, 2], "b": [10, 20]})
+            ]
+        )
+        assert len(result) == 4
+        assert result.column("sum") == [11, 21, 12, 22]
         filtered = result.filter(a=2)
         assert len(filtered) == 2
         assert filtered.column("b") == [10, 20]
 
     def test_rows_contain_parameters_and_measurements(self):
-        result = sweep(lambda n: {"square": n * n}, {"n": [3]})
-        assert result.rows[0] == {"n": 3, "square": 9}
+        assert merge_point_row({"n": 3}, {"square": 9}) == {"n": 3, "square": 9}
 
     def test_iteration(self):
         result = SweepResult(rows=[{"x": 1}])
@@ -97,11 +107,11 @@ class TestSweep:
         """Regression: a measurement reusing a sweep-parameter key used to
         silently overwrite the parameter in the row."""
         with pytest.raises(ValueError, match=r"colliding.*\bn\b"):
-            sweep(lambda n: {"n": n * n}, {"n": [3]})
+            merge_point_row({"n": 3}, {"n": 9})
 
     def test_collision_error_names_every_colliding_key(self):
         with pytest.raises(ValueError, match=r"a, b"):
-            sweep(lambda a, b: {"a": 1, "b": 2, "ok": 3}, {"a": [1], "b": [2]})
+            merge_point_row({"a": 1, "b": 2}, {"a": 1, "b": 2, "ok": 3})
 
 
 class TestTables:

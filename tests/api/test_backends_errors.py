@@ -1,15 +1,17 @@
 """Error-path coverage for repro.api.backends and progress semantics.
 
-Satellite of ISSUE 5: worker exception propagation (inline and process
-pool), malformed batch manifests, and progress-callback ordering when the
-cache serves part of a request batch.
+Worker exception propagation (inline and process pool), execution of
+requests decoded from the wire format, and progress-callback ordering when
+the cache serves part of a request batch.
 """
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
-from repro.api import BatchBackend, InlineBackend, ProcessPoolBackend, Session
+from repro.api import InlineBackend, ProcessPoolBackend, Session
 from repro.harness.registry import ExperimentRegistry, ExperimentSpec, ParameterSpec
 from repro.harness.results import ExperimentResult
 
@@ -99,29 +101,14 @@ class TestWorkerExceptionPropagation:
             list(backend.execute(payloads))
 
 
-class TestMalformedManifests:
-    def test_unserializable_payload_fails_at_submission(self):
-        """The batch backend JSON-encodes the whole batch up front: a
-        payload that cannot be transported fails loudly before anything
-        runs, not halfway through a shard."""
-        backend = BatchBackend()
-        bad = {"experiment_id": "TOY", "parameters": {"seed": object()}}
-        with pytest.raises(TypeError):
-            list(backend.execute([bad], registry=_registry_with(lambda seed=0: _toy_result())))
-        # Nothing was recorded as the last manifest: encoding never finished.
-        assert backend.last_manifest is None
-
-    def test_manifest_missing_experiment_id_fails_loudly(self):
-        from repro.errors import WireFormatError
-
-        backend = BatchBackend()
-        with pytest.raises(WireFormatError):
-            list(backend.execute([{"parameters": {}}]))
-
-    def test_decoded_manifest_is_what_runs(self):
-        """The batch backend executes the *decoded* manifest: tuple-valued
+class TestWireDecodedExecution:
+    def test_decoded_request_is_what_runs(self):
+        """The service executes the *decoded* wire request: tuple-valued
         parameters arrive at the runner as lists (proof the JSON round-trip
         is load-bearing, not decorative)."""
+        from repro.api.backends import execute_payload
+        from repro.api.wire import decode_request, encode_request
+
         seen = {}
 
         def recording(sizes=(1, 2)):
@@ -139,16 +126,14 @@ class TestMalformedManifests:
                 )
             ]
         )
-        backend = BatchBackend()
-        results = list(
-            backend.execute(
-                [{"experiment_id": "TOY", "parameters": {"sizes": (5, 6)}}],
-                registry=registry,
-            )
+        wire = json.dumps(
+            encode_request({"experiment_id": "TOY", "parameters": {"sizes": (5, 6)}})
         )
-        assert len(results) == 1
+        assert '"sizes": [5, 6]' in wire
+        request = decode_request(json.loads(wire))
+        record = execute_payload(request.to_payload(), registry)
+        assert record["experiment_id"] == "TOY"
         assert seen["sizes"] == [5, 6]
-        assert backend.last_manifest is not None and '"sizes": [5, 6]' in backend.last_manifest
 
     def test_corrupt_result_payload_from_backend_fails_loudly(self):
         """A backend yielding a record that is not an ExperimentResult dict

@@ -9,11 +9,16 @@ honest check that nothing depends on the calling path).
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.api import Session
+from repro.api.backends import execute_payload
+from repro.api.wire import decode_request, decode_result, encode_request, encode_result
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.registry import REGISTRY
+from repro.harness.results import ExperimentResult
 
 #: Toy-scale overrides per experiment: small enough for the test suite, rich
 #: enough that every code path (engine stages included) runs.
@@ -52,14 +57,20 @@ def test_overrides_cover_every_registered_experiment():
     assert set(TOY_OVERRIDES) == set(REGISTRY)
 
 
-def test_batch_backend_preserves_bit_identity_through_serialization():
-    """The JSON round-trip of the batch backend must not perturb a single
-    float in the result rows."""
+def test_wire_round_trip_preserves_bit_identity():
+    """The service's path — request JSON-encoded, decoded, executed, and the
+    result JSON-encoded and decoded back — must not perturb a single float
+    in the result rows."""
     overrides = TOY_OVERRIDES["E5"]
     direct = ALL_EXPERIMENTS["E5"](**overrides)
-    report = Session(cache=None, backend="batch").run("E5", **overrides)
-    assert report.result.rows == direct.rows
-    assert report.result.matches_paper == direct.matches_paper
+    request = Session(cache=None).request("E5", **overrides)
+    decoded = decode_request(json.loads(json.dumps(encode_request(request))))
+    assert decoded == request
+    record = execute_payload(decoded.to_payload())
+    wire_result = json.dumps(encode_result(ExperimentResult.from_dict(record)))
+    result = decode_result(json.loads(wire_result))
+    assert result.rows == direct.rows
+    assert result.matches_paper == direct.matches_paper
 
 
 class TestPrecisionDefaultsPreservePr4Identity:

@@ -201,6 +201,31 @@ class TestSweep:
         pinned = session.sweep("STUB", {"n": [1]}, seed=5)
         assert pinned.reports[0].request.kwargs["seed"] == 5
 
+    def test_explicit_fixed_seed_beats_point_seed(self, registry):
+        session = Session(seed=7, cache=None, registry=registry)
+        sweep = session.sweep("STUB", {"n": [1, 2]}, factor=10, seed=5)
+        assert [report.request.kwargs["seed"] for report in sweep.reports] == [5, 5]
+        # The runner saw the pinned seed: value = n * factor + seed.
+        values = [report.result.rows[0]["value"] for report in sweep.reports]
+        assert values == [15, 25]
+
+    def test_empty_grid_raises(self, registry):
+        session = Session(cache=None, registry=registry)
+        with pytest.raises(ValueError, match="no axes"):
+            session.sweep("STUB", {})
+        with pytest.raises(ValueError, match="axis 'n' has no values"):
+            session.sweep("STUB", {"n": []})
+
+    def test_scalar_axis_raises_naming_the_axis(self, registry):
+        session = Session(cache=None, registry=registry)
+        with pytest.raises(ValueError, match="axis 'n' must be a list of values"):
+            session.sweep("STUB", {"n": 5})
+
+    def test_string_axis_raises_naming_the_axis(self, registry):
+        session = Session(cache=None, registry=registry)
+        with pytest.raises(ValueError, match="axis 'n' must be a list of values"):
+            session.sweep("STUB", {"factor": [2], "n": "12"})
+
     def test_sweep_without_session_seed_uses_schema_default(self, registry):
         sweep = Session(cache=None, registry=registry).sweep("STUB", {"n": [4]})
         assert sweep.reports[0].request.kwargs["seed"] == 0
@@ -269,7 +294,7 @@ class TestSweep:
         class UnderYieldingBackend(ExecutionBackend):
             name = "under-yield"
 
-            def execute(self, payloads, registry=None):
+            def execute_grouped(self, groups, registry=None):
                 return iter(())  # yields nothing, whatever was requested
 
         session = Session(
@@ -307,6 +332,7 @@ class TestSessionConstruction:
     def test_backend_resolution(self):
         assert Session(cache=None).backend.name == "inline"
         assert Session(cache=None, parallel=4).backend.name == "process-pool"
-        assert Session(cache=None, backend="batch").backend.name == "batch"
         with pytest.raises(ValueError, match="unknown backend"):
             Session(cache=None, backend="carrier-pigeon")
+        with pytest.raises(ValueError, match="unknown backend"):
+            Session(cache=None, backend="batch")

@@ -13,10 +13,8 @@ from hypothesis import given, strategies as st  # noqa: E402
 from repro.api.session import RunRequest  # noqa: E402
 from repro.api.wire import (  # noqa: E402
     WIRE_SCHEMA,
-    decode_manifest,
     decode_request,
     decode_result,
-    encode_manifest,
     encode_request,
     encode_result,
 )
@@ -98,20 +96,6 @@ class TestResultRoundTrip:
         assert decode_result(record).to_dict() == result.to_dict()
 
 
-class TestManifestRoundTrip:
-    @given(requests=st.lists(_requests, max_size=5))
-    def test_decode_inverts_encode_in_order(self, requests):
-        assert decode_manifest(encode_manifest(requests)) == requests
-
-    @given(requests=st.lists(_requests, max_size=5))
-    def test_same_batch_is_byte_identical(self, requests):
-        assert encode_manifest(requests) == encode_manifest(list(requests))
-
-    def test_unserializable_payload_fails_at_encode_time(self):
-        with pytest.raises(TypeError):
-            encode_manifest([{"experiment_id": "E1", "parameters": {"bad": object()}}])
-
-
 class TestEnvelopeRejection:
     def test_wrong_schema_version_rejected(self):
         record = encode_request(RunRequest.create("E1", {}))
@@ -138,14 +122,6 @@ class TestEnvelopeRejection:
         record["experiment_id"] = ""
         with pytest.raises(WireFormatError, match="experiment_id"):
             decode_request(record)
-
-    def test_malformed_manifest_rejected(self):
-        with pytest.raises(WireFormatError, match="not JSON"):
-            decode_manifest("{truncated")
-        with pytest.raises(WireFormatError, match="requests must be a list"):
-            decode_manifest(
-                json.dumps({"schema": WIRE_SCHEMA, "kind": "manifest", "requests": {}})
-            )
 
     def test_result_with_ill_shaped_body_rejected(self):
         record = encode_result(ExperimentResult("E1", "t", "c"))

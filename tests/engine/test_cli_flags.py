@@ -35,8 +35,8 @@ class TestParsing:
             build_parser().parse_args(["run", "E5", "--engine", "warp"])
 
     def test_backend_flag_parses_and_validates(self):
-        args = build_parser().parse_args(["run", "E5", "--backend", "batch"])
-        assert args.backend == "batch"
+        args = build_parser().parse_args(["run", "E5", "--backend", "process-pool"])
+        assert args.backend == "process-pool"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E5", "--backend", "mainframe"])
 
@@ -148,10 +148,10 @@ class TestRunBehaviour:
         assert code_a == code_b == 0
         assert out_a == out_b
 
-    def test_batch_backend_matches_inline(self, tmp_path):
+    def test_process_pool_backend_matches_inline(self, tmp_path):
         base = ["run", "E5", "--quick", "--seed", "2", "--no-cache"]
         code_a, out_a = run_cli(base)
-        code_b, out_b = run_cli(base + ["--backend", "batch"])
+        code_b, out_b = run_cli(base + ["--backend", "process-pool"])
         assert code_a == code_b == 0
         assert out_a == out_b
 

@@ -1,50 +1,13 @@
-"""Tests for the parallel sweep runner (repro.engine.parallel)."""
+"""Tests for the process-pool fan-out and per-point seeding
+(repro.engine.parallel)."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.analysis.sweep import sweep
-from repro.engine.parallel import ParallelSweepRunner, point_seed
-
-
-def measure_sum(a, b):
-    return {"sum": a + b, "product": a * b}
-
-
-def measure_with_seed(n, seed=0):
-    return {"value": n * 1000 + seed}
-
-
-def measure_colliding(n):
-    return {"n": n}
-
-
-GRID = {"a": [1, 2, 3], "b": [10, 20]}
-
-
-class TestParallelSweepRunner:
-    def test_matches_serial_sweep_rows_and_order(self):
-        serial = sweep(measure_sum, GRID)
-        parallel = ParallelSweepRunner(max_workers=2).run(measure_sum, GRID)
-        assert parallel.rows == serial.rows
-
-    def test_serial_in_process_mode(self):
-        result = ParallelSweepRunner(max_workers=0).run(measure_sum, GRID)
-        assert result.rows == sweep(measure_sum, GRID).rows
-
-    def test_key_collisions_raise(self):
-        with pytest.raises(ValueError, match="colliding"):
-            ParallelSweepRunner(max_workers=0).run(measure_colliding, {"n": [1, 2]})
-
-    def test_negative_workers_rejected(self):
-        with pytest.raises(ValueError):
-            ParallelSweepRunner(max_workers=-1)
+from repro.engine.parallel import imap, point_seed
 
 
 class TestDeterministicSeeding:
     def test_per_point_seeds_are_stable_and_distinct(self):
-        grid = {"n": [1, 2, 3]}
         seeds = [point_seed(7, {"n": n}) for n in (1, 2, 3)]
         assert len(set(seeds)) == 3
         assert seeds == [point_seed(7, {"n": n}) for n in (1, 2, 3)]
@@ -66,73 +29,32 @@ class TestDeterministicSeeding:
         # bool is a distinct parameter value, not the integer it subclasses.
         assert point_seed(7, {"f": True}) != point_seed(7, {"f": 1})
 
-    def test_seed_injected_when_experiment_accepts_it(self):
-        runner = ParallelSweepRunner(max_workers=0, seed=7)
-        result = runner.run(measure_with_seed, {"n": [1, 2]})
-        expected = [1000 + point_seed(7, {"n": 1}), 2000 + point_seed(7, {"n": 2})]
-        assert result.column("value") == expected
-
-    def test_seed_not_injected_without_master_seed(self):
-        result = ParallelSweepRunner(max_workers=0).run(measure_with_seed, {"n": [4]})
-        assert result.column("value") == [4000]
-
-    def test_seeding_is_declared_not_introspected(self):
-        """Seed injection is controlled by the explicit ``seed_parameter``
-        contract (the old ``accepts_seed`` signature introspection is gone):
-        a seedless experiment is swept by declaring ``seed_parameter=None``."""
-        import repro.engine.parallel as parallel_module
-
-        assert not hasattr(parallel_module, "accepts_seed")
-        runner = ParallelSweepRunner(max_workers=0, seed=7, seed_parameter=None)
-        result = runner.run(measure_sum, GRID)
-        assert result.rows == sweep(measure_sum, GRID).rows
-
-    def test_custom_seed_parameter_name(self):
-        def measure_renamed(n, rng_seed=0):
-            return {"value": n * 1000 + rng_seed}
-
-        runner = ParallelSweepRunner(max_workers=0, seed=7, seed_parameter="rng_seed")
-        result = runner.run(measure_renamed, {"n": [1]})
-        assert result.column("value") == [1000 + point_seed(7, {"n": 1})]
-
-    def test_explicit_seed_parameter_wins(self):
-        runner = ParallelSweepRunner(max_workers=0, seed=7)
-        result = runner.run(measure_with_seed, {"n": [1], "seed": [5]})
-        assert result.column("value") == [1005]
-
-    def test_workers_do_not_change_results(self):
-        grid = {"n": [1, 2, 3, 4]}
-        serial = ParallelSweepRunner(max_workers=0, seed=3).run(measure_with_seed, grid)
-        pooled = ParallelSweepRunner(max_workers=2, seed=3).run(measure_with_seed, grid)
-        assert serial.rows == pooled.rows
-
 
 def double_payload(payload):
     return {"doubled": payload["x"] * 2}
 
 
-class TestMapPrimitives:
+class TestImap:
     PAYLOADS = [{"x": 1}, {"x": 2}, {"x": 3}]
 
-    def test_map_preserves_submission_order(self):
+    def test_pool_preserves_submission_order(self):
         expected = [{"doubled": 2}, {"doubled": 4}, {"doubled": 6}]
-        assert ParallelSweepRunner(max_workers=0).map(double_payload, self.PAYLOADS) == expected
-        assert ParallelSweepRunner(max_workers=2).map(double_payload, self.PAYLOADS) == expected
+        assert list(imap(double_payload, self.PAYLOADS, max_workers=2)) == expected
 
-    def test_imap_streams_lazily_in_serial_mode(self):
+    def test_single_payload_runs_lazily_in_process(self):
+        # One payload runs in-process even with workers configured (no pool
+        # start-up cost), so unpicklable functions are fine, and nothing runs
+        # before the first result is asked for.
         calls = []
 
         def recording(payload):
             calls.append(payload["x"])
             return payload["x"]
 
-        iterator = ParallelSweepRunner(max_workers=0).imap(recording, self.PAYLOADS)
-        assert next(iterator) == 1
-        assert calls == [1]  # later payloads not evaluated yet
-        assert list(iterator) == [2, 3]
+        iterator = imap(recording, [{"x": 9}], max_workers=4)
+        assert calls == []
+        assert list(iterator) == [9]
+        assert calls == [9]
 
-    def test_single_payload_short_circuits_the_pool(self):
-        # One payload runs in-process even with workers configured (no pool
-        # startup cost); unpicklable functions are therefore fine here.
-        result = ParallelSweepRunner(max_workers=4).map(lambda p: p["x"], [{"x": 9}])
-        assert result == [9]
+    def test_no_payloads_yield_nothing(self):
+        assert list(imap(double_payload, [], max_workers=2)) == []
