@@ -24,7 +24,7 @@ the paper's framework on top of it:
   :class:`~repro.stats.PrecisionTarget` sequential-stopping rule the
   chunked engine drives between chunks ("run until the CI half-width is
   ±0.005 at 99%" instead of guessing trial counts); ``precision=None``
-  leaves every estimator bit-identical to its fixed-trial behaviour;
+  runs the fixed-budget target, which stops at its cap;
 * :mod:`repro.harness` — the declarative experiment layer: the
   :class:`~repro.harness.registry.ExperimentSpec` registry (typed parameter
   schemas, ``full``/``quick`` presets, seed/engine capabilities) over the

@@ -31,15 +31,9 @@ from repro.core.languages import Configuration, DistributedLanguage
 from repro.engine.construct import (
     ConstructionCompilationError,
     adaptive_success_estimate,
-    batched_success_counts,
     resolve_construction_engine,
 )
-from repro.stats import (
-    PrecisionTarget,
-    ProbabilityEstimate,
-    sequential_estimate,
-    wilson_half_width,
-)
+from repro.stats import Z196_CONFIDENCE, PrecisionTarget, ProbabilityEstimate, sequential_estimate
 from repro.local.algorithm import BallAlgorithm, LocalAlgorithm
 from repro.local.network import Network
 from repro.local.randomness import TapeFactory
@@ -51,6 +45,7 @@ __all__ = [
     "MessagePassingConstructor",
     "SuccessEstimate",
     "estimate_success_probability",
+    "success_estimate",
 ]
 
 
@@ -220,98 +215,72 @@ def estimate_success_probability(
     bit, ``engine="fast"`` is fully vectorized and distributionally
     equivalent, ``engine="off"`` forces the reference loop.
 
+    Each row reports the Wilson half-width at ``z = 1.96`` for a fixed
+    budget, and the target's interval otherwise.
+
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each instance's trials sequentially until the CI
     half-width target is met, with ``trials`` as the per-instance cap; the
     streams are chunk-invariant, so an instance stopping at ``k`` trials
-    reports exactly its fixed ``k``-trial rate, and ``precision=None`` is
-    bit-identical to the historical behaviour.
+    reports exactly its fixed ``k``-trial rate.
     """
-    target = PrecisionTarget.coerce(precision, default_cap=trials)
-    mode = resolve_construction_engine(engine, constructor)
+    target = PrecisionTarget.for_budget(precision, trials, confidence=Z196_CONFIDENCE)
+    if not constructor.randomized:
+        target = PrecisionTarget.fixed(1, confidence=Z196_CONFIDENCE)
     estimate = SuccessEstimate()
     for index, network in enumerate(networks):
-        runs = trials if constructor.randomized else 1
-        if target is not None and constructor.randomized:
-            adaptive: Optional[ProbabilityEstimate] = None
-            if mode != "off":
-                try:
-                    adaptive = adaptive_success_estimate(
-                        constructor,
-                        language,
-                        network,
-                        target,
-                        seed_base=seed * 1_000_003,
-                        salt=f"{constructor.name}/{index}",
-                        mode=mode,
-                    )
-                except ConstructionCompilationError:
-                    if engine != "auto":
-                        raise
-            if adaptive is None:
-                adaptive = _reference_adaptive_success(
-                    constructor, language, network, target, seed, index
-                )
-            estimate.per_instance[index] = (adaptive.estimate, adaptive.half_width)
-            estimate.trials_used[index] = adaptive.trials
-            continue
-        successes = None
-        if mode != "off":
-            try:
-                successes = batched_success_counts(
-                    constructor,
-                    language,
-                    network,
-                    runs,
-                    seed_base=seed * 1_000_003,
-                    salt=f"{constructor.name}/{index}",
-                    mode=mode,
-                )
-            except ConstructionCompilationError:
-                # ``auto`` stays a safe default: a construction beyond the
-                # engine's shape degrades to the reference loop, while an
-                # explicit engine request surfaces the error.
-                if engine != "auto":
-                    raise
-        if successes is None:
-            successes = 0
-            for trial in range(runs):
-                factory = TapeFactory(
-                    seed * 1_000_003 + trial, salt=f"{constructor.name}/{index}"
-                )
-                configuration = constructor.configuration(network, tape_factory=factory)
-                successes += int(language.contains(configuration))
-        estimate.per_instance[index] = (
-            successes / runs,
-            wilson_half_width(successes, runs),
+        result = success_estimate(
+            constructor,
+            language,
+            network,
+            target,
+            seed_base=seed * 1_000_003,
+            salt=f"{constructor.name}/{index}",
+            engine=engine,
         )
-        estimate.trials_used[index] = runs
+        estimate.per_instance[index] = (result.estimate, result.half_width)
+        estimate.trials_used[index] = result.trials
     return estimate
 
 
-def _reference_adaptive_success(
+def success_estimate(
     constructor: Constructor,
     language: DistributedLanguage,
     network: Network,
     target: PrecisionTarget,
-    seed: int,
-    index: int,
+    seed_base: int,
+    salt: str,
+    engine: str,
 ) -> ProbabilityEstimate:
-    """Sequential stopping on the reference per-trial construction loop
-    (the non-compilable fallback); trial ``t`` replays
-    ``TapeFactory(seed * 1_000_003 + t, salt=f"{name}/{index}")`` exactly
-    like the fixed-trial loop."""
-    state = {"offset": 0}
+    """Pr[the constructed configuration belongs to ``language``] on one
+    instance, with trial ``t`` replaying ``TapeFactory(seed_base + t,
+    salt)``: the construction engine's stream when the constructor compiles,
+    else the reference loop.
+
+    Explicit engine requests on a non-compilable randomized constructor
+    raise (see :func:`~repro.engine.construct.resolve_construction_engine`);
+    ``auto`` degrades a construction beyond the engine's shape to the
+    reference loop.
+    """
+    mode = resolve_construction_engine(engine, constructor)
+    if mode != "off":
+        try:
+            return adaptive_success_estimate(
+                constructor, language, network, target, seed_base=seed_base, salt=salt, mode=mode
+            )
+        except ConstructionCompilationError:
+            if engine != "auto":
+                raise
+    offset = 0
 
     def draw(count: int) -> int:
+        nonlocal offset
         successes = 0
-        for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(
-                seed * 1_000_003 + trial, salt=f"{constructor.name}/{index}"
-            )
+        for trial in range(offset, offset + count):
+            factory = TapeFactory(seed_base + trial, salt=salt)
             configuration = constructor.configuration(network, tape_factory=factory)
             successes += int(language.contains(configuration))
-        state["offset"] += count
+        offset += count
         return successes
 
     return sequential_estimate(target, draw)

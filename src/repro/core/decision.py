@@ -60,19 +60,12 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.core.languages import Configuration, DistributedLanguage, SELECTED
 from repro.core.lcl import LCLLanguage
-from repro.engine.adapters import (
-    engine_acceptance_probability,
-    engine_adaptive_acceptance,
-    engine_adaptive_success,
-    engine_success_counts,
-    resolve_engine,
-)
+from repro.engine.adapters import engine_success_estimate, resolve_engine
 from repro.stats import (
+    Z196_CONFIDENCE,
     PrecisionTarget,
     ProbabilityEstimate,
     sequential_estimate,
-    wilson_half_width,
-    wilson_interval,
 )
 from repro.engine.compiler import (
     Const,
@@ -286,48 +279,12 @@ class Decider(ABC):
         precision: Optional[object] = None,
     ) -> float:
         """Monte-Carlo estimate of Pr[all nodes accept] over the decider's
-        coins (1 trial suffices for a deterministic decider).
-
-        The configuration is fixed across trials, so the per-node balls are
-        extracted once and only the coin flips are redrawn — behaviourally
-        identical to repeated :meth:`decide` calls, but much faster.  When
-        the decider is compilable the trials run through
-        :mod:`repro.engine`; see the module docstring for the ``engine``
-        values (``auto``/``exact`` are bit-identical to ``off``).
-
-        ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
-        half-width) switches to sequential stopping: trials stream in chunks
-        and stop once the CI half-width target is met, with ``trials``
-        demoted to the cap.  The trial streams are chunk-invariant, so a run
-        stopping at ``k`` trials returns exactly the fixed ``k``-trial
-        estimate; ``precision=None`` (the default) is bit-identical to the
-        historical fixed-trial behaviour.  Use :meth:`acceptance_estimate`
-        to also get the interval and the realized trial count.
-        """
-        target = PrecisionTarget.coerce(precision, default_cap=trials)
-        if target is not None:
-            return self.acceptance_estimate(
-                configuration, trials=trials, seed=seed, engine=engine, precision=target
-            ).estimate
-        if not self.randomized:
-            return 1.0 if self.decide(configuration).accepted else 0.0
-        mode = resolve_engine(engine, self)
-        if mode != "off":
-            try:
-                return engine_acceptance_probability(self, configuration, trials, seed, mode)
-            except ProgramCompilationError:
-                # ``auto`` stays a safe default: a vote program the IR cannot
-                # express falls back to the reference loop, while an explicit
-                # engine request surfaces the error.
-                if engine != "auto":
-                    raise
-        balls = self._balls_of(configuration)
-        accepted = 0
-        for trial in range(trials):
-            factory = TapeFactory(seed + trial, salt=self.name)
-            if self._accepts_with(balls, configuration, factory):
-                accepted += 1
-        return accepted / trials
+        coins (1 trial suffices for a deterministic decider): the point
+        value of :meth:`acceptance_estimate`, which documents the
+        parameters and also returns the interval and the trial count."""
+        return self.acceptance_estimate(
+            configuration, trials=trials, seed=seed, engine=engine, precision=precision
+        ).estimate
 
     def acceptance_estimate(
         self,
@@ -339,53 +296,31 @@ class Decider(ABC):
     ) -> ProbabilityEstimate:
         """Pr[all accept] with its confidence interval and trial count.
 
-        Without a ``precision`` target this wraps the fixed ``trials``-trial
-        estimate (same coins as :meth:`acceptance_probability`) in a 95%
-        Wilson interval.  With one, trials stream in chunks and stop once
-        the target is met (``trials`` caps the run); the streams are the
-        fixed-trial streams, so a stop at ``k`` trials reports exactly the
-        fixed ``k``-trial estimate.  Structurally deterministic outcomes —
-        a non-randomized decider, or a configuration on which every vote
-        program is constant — return an exact degenerate estimate.
+        The configuration is fixed across trials, so the per-node balls are
+        extracted once and only the coin flips are redrawn — behaviourally
+        identical to repeated :meth:`decide` calls, but much faster.  Trial
+        ``t`` draws from ``TapeFactory(seed + t, salt=self.name)``.  When
+        the decider is compilable the trials run through
+        :mod:`repro.engine`; see the module docstring for the ``engine``
+        values (``auto``/``exact`` are bit-identical to ``off``).
+
+        Without a ``precision`` the run is the fixed budget of ``trials``
+        trials, reported with a 95% Wilson interval.  ``precision`` (a
+        :class:`~repro.stats.PrecisionTarget` or a bare half-width) switches
+        to sequential stopping: trials stream in chunks and stop once the CI
+        half-width target is met, with ``trials`` demoted to the cap.  The
+        trial streams are chunk-invariant, so a run stopping at ``k`` trials
+        reports exactly the fixed ``k``-trial estimate.  A non-randomized
+        decider returns an exact degenerate estimate, and so does a
+        configuration on which every vote program is constant when a
+        precision target is set.
         """
-        target = PrecisionTarget.coerce(precision, default_cap=trials)
-        confidence = target.confidence if target is not None else 0.95
+        target = PrecisionTarget.for_budget(precision, trials)
         if not self.randomized:
             return ProbabilityEstimate.exact(
-                self.decide(configuration).accepted, confidence=confidence
+                self.decide(configuration).accepted, confidence=target.confidence
             )
-        if target is None:
-            rate = self.acceptance_probability(
-                configuration, trials=trials, seed=seed, engine=engine
-            )
-            successes = int(round(rate * trials))
-            interval = wilson_interval(successes, trials, confidence=confidence)
-            return ProbabilityEstimate(
-                successes=successes,
-                trials=trials,
-                ci_low=interval.low,
-                ci_high=interval.high,
-                confidence=confidence,
-            )
-        mode = resolve_engine(engine, self)
-        if mode != "off":
-            try:
-                return engine_adaptive_acceptance(self, configuration, target, seed, mode)
-            except ProgramCompilationError:
-                if engine != "auto":
-                    raise
-        balls = self._balls_of(configuration)
-        state = {"offset": 0}
-
-        def draw(count: int) -> int:
-            successes = 0
-            for trial in range(state["offset"], state["offset"] + count):
-                factory = TapeFactory(seed + trial, salt=self.name)
-                successes += int(self._accepts_with(balls, configuration, factory))
-            state["offset"] += count
-            return successes
-
-        return sequential_estimate(target, draw)
+        return _success_estimate(self, configuration, True, target, seed, self.name, engine)
 
     # ------------------------------------------------------------------ #
     # Internal fast paths (shared with estimate_guarantee)
@@ -732,99 +667,76 @@ def estimate_guarantee(
 
     For every configuration, membership is evaluated with the language's own
     (global) predicate, and the decider is run ``trials`` times with fresh
-    coins.  Success means "accepted" on members and "rejected" on
-    non-members, matching Eq. (1).  Deterministic deciders are run once.
-    Compilable randomized deciders dispatch their trials to
-    :mod:`repro.engine` (``engine="auto"``/``"exact"`` reproduce the
-    reference coins bit for bit; see the module docstring).
+    coins; trial ``t`` of configuration ``index`` draws from
+    ``TapeFactory(seed * 1_000_003 + t, salt=f"{decider.name}/{index}")``.
+    Success means "accepted" on members and "rejected" on non-members,
+    matching Eq. (1).  Deterministic deciders are run once.  Compilable
+    randomized deciders dispatch their trials to :mod:`repro.engine`
+    (``engine="auto"``/``"exact"`` reproduce the reference coins bit for
+    bit; see the module docstring).  Each row reports the Wilson half-width
+    at ``z = 1.96`` for a fixed budget, and the target's interval otherwise.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
     half-width) runs each configuration's trials sequentially until the CI
     half-width target is met, with ``trials`` as the per-configuration cap;
     the streams are chunk-invariant, so a configuration stopping at ``k``
-    trials reports exactly its fixed ``k``-trial rate, and
-    ``precision=None`` is bit-identical to the historical behaviour.
+    trials reports exactly its fixed ``k``-trial rate.
     """
-    target = PrecisionTarget.coerce(precision, default_cap=trials)
-    mode = resolve_engine(engine, decider) if decider.randomized else "off"
+    target = PrecisionTarget.for_budget(precision, trials, confidence=Z196_CONFIDENCE)
+    if not decider.randomized:
+        target = PrecisionTarget.fixed(1, confidence=Z196_CONFIDENCE)
     estimate = GuaranteeEstimate()
     for index, configuration in enumerate(configurations):
         member = language.contains(configuration)
-        runs = 1 if not decider.randomized else trials
-        if target is not None and decider.randomized:
-            adaptive: Optional[ProbabilityEstimate] = None
-            if mode != "off":
-                try:
-                    adaptive = engine_adaptive_success(
-                        decider, configuration, member, target, seed, index, mode
-                    )
-                except ProgramCompilationError:
-                    if engine != "auto":
-                        raise
-                    mode = "off"  # inexpressible program: degrade to the reference loop
-            if adaptive is None:
-                adaptive = _reference_adaptive_success(
-                    decider, configuration, member, target, seed, index
-                )
-            estimate.per_configuration[index] = (
-                member,
-                adaptive.estimate,
-                adaptive.half_width,
-            )
-            estimate.trials_used[index] = adaptive.trials
-            continue
-        successes: Optional[int] = None
-        if mode != "off":
-            try:
-                successes = engine_success_counts(
-                    decider, configuration, member, runs, seed, index, mode
-                )
-            except ProgramCompilationError:
-                if engine != "auto":
-                    raise
-                mode = "off"  # inexpressible program: degrade to the reference loop
-        if successes is None:
-            successes = 0
-            balls = decider._balls_of(configuration)
-            for trial in range(runs):
-                factory = TapeFactory(
-                    seed * 1_000_003 + trial, salt=f"{decider.name}/{index}"
-                )
-                accepted = decider._accepts_with(balls, configuration, factory)
-                ok = accepted if member else not accepted
-                successes += int(ok)
-        rate = successes / runs
-        estimate.per_configuration[index] = (
+        result = _success_estimate(
+            decider,
+            configuration,
             member,
-            rate,
-            wilson_half_width(successes, runs),
+            target,
+            seed * 1_000_003,
+            f"{decider.name}/{index}",
+            engine,
         )
-        estimate.trials_used[index] = runs
+        estimate.per_configuration[index] = (member, result.estimate, result.half_width)
+        estimate.trials_used[index] = result.trials
     return estimate
 
 
-def _reference_adaptive_success(
+def _success_estimate(
     decider: Decider,
     configuration: Configuration,
     member: bool,
     target: PrecisionTarget,
-    seed: int,
-    index: int,
+    seed_base: int,
+    salt: str,
+    engine: str,
 ) -> ProbabilityEstimate:
-    """Sequential stopping on the reference loop's per-trial coins (the
-    non-compilable fallback of :func:`estimate_guarantee`); trial ``t``
-    replays ``TapeFactory(seed * 1_000_003 + t, salt=f"{name}/{index}")``
-    exactly like the fixed-trial loop."""
+    """Pr[success] on one configuration — "all accept" on members, "some
+    node rejects" otherwise — with trial ``t`` replaying
+    ``TapeFactory(seed_base + t, salt)``: the engine stream when the decider
+    compiles, else the reference loop.  ``auto`` stays a safe default: a
+    vote program the IR cannot express falls back to the reference loop,
+    while an explicit engine request surfaces the error."""
+    mode = resolve_engine(engine, decider) if decider.randomized else "off"
+    if mode != "off":
+        try:
+            return engine_success_estimate(
+                decider, configuration, target, seed_base, salt, mode, member=member
+            )
+        except ProgramCompilationError:
+            if engine != "auto":
+                raise
     balls = decider._balls_of(configuration)
-    state = {"offset": 0}
+    offset = 0
 
     def draw(count: int) -> int:
+        nonlocal offset
         successes = 0
-        for trial in range(state["offset"], state["offset"] + count):
-            factory = TapeFactory(seed * 1_000_003 + trial, salt=f"{decider.name}/{index}")
+        for trial in range(offset, offset + count):
+            factory = TapeFactory(seed_base + trial, salt=salt)
             accepted = decider._accepts_with(balls, configuration, factory)
-            successes += int(accepted if member else not accepted)
-        state["offset"] += count
+            successes += int(accepted == member)
+        offset += count
         return successes
 
     return sequential_estimate(target, draw)

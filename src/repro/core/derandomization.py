@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Hashable, List, Optional, Sequence, Tuple
 
-from repro.core.construction import Constructor
+from repro.core.construction import Constructor, success_estimate
 from repro.core.decision import Decider, DecisionOutcome
 from repro.core.languages import Configuration, DistributedLanguage
 from repro.engine.adapters import engine_single_trial_votes, resolve_engine
@@ -44,9 +44,7 @@ from repro.engine.construct import (
     adaptive_far_acceptance,
     batched_acceptance_and_membership,
     batched_far_acceptance,
-    batched_success_counts,
     is_construction_compilable,
-    resolve_construction_engine,
 )
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 from repro.graphs.operations import GlueResult, disjoint_union, glue_instances
@@ -247,34 +245,21 @@ def find_hard_instances(
     # No decider side here, so the *strict* resolver applies: an explicit
     # engine request on a non-compilable randomized constructor raises
     # rather than silently measuring the reference loop.
-    construction_mode = resolve_construction_engine(engine, constructor)
+    target = PrecisionTarget.fixed(trials if constructor.randomized else 1)
     found: List[HardInstance] = []
     for index, network in enumerate(candidates):
-        runs = trials if constructor.randomized else 1
-        failures = None
-        if construction_mode != "off":
-            try:
-                failures = runs - batched_success_counts(
-                    constructor,
-                    language,
-                    network,
-                    runs,
-                    seed_base=seed * 7_919,
-                    salt=f"hard/{index}",
-                    mode=construction_mode,
-                )
-            except ConstructionCompilationError:
-                if engine != "auto":
-                    raise
-        if failures is None:
-            failures = 0
-            for trial in range(runs):
-                factory = TapeFactory(seed * 7_919 + trial, salt=f"hard/{index}")
-                configuration = constructor.configuration(network, tape_factory=factory)
-                failures += int(not language.contains(configuration))
-        rate = failures / runs
+        estimate = success_estimate(
+            constructor,
+            language,
+            network,
+            target,
+            seed_base=seed * 7_919,
+            salt=f"hard/{index}",
+            engine=engine,
+        )
+        rate = (estimate.trials - estimate.successes) / estimate.trials
         if rate >= beta:
-            found.append(HardInstance(network, rate, runs))
+            found.append(HardInstance(network, rate, estimate.trials))
             if len(found) >= count:
                 return found
     raise RuntimeError(
@@ -365,58 +350,14 @@ def far_acceptance_probability(
     paths.
 
     ``precision`` (a :class:`~repro.stats.PrecisionTarget` or a bare
-    half-width) switches to sequential stopping with ``trials`` as the cap
-    — see :func:`far_acceptance_estimate`, which also returns the interval.
+    half-width) switches to sequential stopping with ``trials`` as the cap.
+    This is the point value of :func:`far_acceptance_estimate`, which also
+    returns the interval.
     """
-    if precision is not None:
-        target = PrecisionTarget.coerce(precision, default_cap=trials)
-        if target is not None:
-            return far_acceptance_estimate(
-                constructor,
-                decider,
-                network,
-                node,
-                distance,
-                target,
-                seed=seed,
-                engine=engine,
-            ).estimate
-    mode = resolve_engine(engine, decider)
-    construction_mode = _construction_mode(engine, constructor)
-    if construction_mode != "off":
-        try:
-            batched = batched_far_acceptance(
-                constructor,
-                decider,
-                network,
-                [node],
-                distance,
-                trials,
-                seed_base=seed * 104_729,
-                construct_salt="far/construct",
-                decide_salt="far/decide",
-                mode=construction_mode,
-            )
-        except ConstructionCompilationError:
-            if engine != "auto":
-                raise
-            batched = None
-        if batched is not None:
-            return batched[node]
-    accepted_far = 0
-    for trial in range(trials):
-        c_factory = TapeFactory(seed * 104_729 + trial, salt="far/construct")
-        configuration = constructor.configuration(network, tape_factory=c_factory)
-        outcome, mode = _decide_outcome(
-            decider,
-            configuration,
-            seed * 104_729 + trial,
-            "far/decide",
-            mode,
-            allow_fallback=engine == "auto",
-        )
-        accepted_far += int(outcome.accepted_far_from(configuration, node, distance))
-    return accepted_far / trials
+    target = PrecisionTarget.for_budget(precision, trials)
+    return far_acceptance_estimate(
+        constructor, decider, network, node, distance, target, seed=seed, engine=engine
+    ).estimate
 
 
 def far_acceptance_estimate(
@@ -433,8 +374,9 @@ def far_acceptance_estimate(
 
     Same seeding and salts as :func:`far_acceptance_probability`; trials
     stream in chunks (the fused construct→decide path when available, the
-    per-trial reference loop otherwise) and stop once ``target`` is met.
-    The streams are chunk-invariant, so stopping at ``k`` trials reports
+    per-trial reference loop otherwise) and stop once ``target`` is met —
+    one chunk for a fixed budget (:meth:`PrecisionTarget.fixed`).  The
+    streams are chunk-invariant, so stopping at ``k`` trials reports
     exactly the fixed ``k``-trial estimate.
     """
     mode = resolve_engine(engine, decider)

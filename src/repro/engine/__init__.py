@@ -13,12 +13,12 @@ Layers
 * :mod:`repro.engine.compiler` — :func:`compile_decision` /
   :class:`CompiledDecision`: the one-off flattening, and the
   ``vote_probability`` contract a decider must expose to be compilable;
-* :mod:`repro.engine.executor` — the trials×nodes Bernoulli-matrix
-  evaluation, in ``fast`` (fully vectorized) and ``exact`` (bit-for-bit
-  reproduction of the reference tape streams) modes;
-* :mod:`repro.engine.adapters` — drop-in counterparts of the legacy entry
-  points, used by the ``engine=`` dispatch in :mod:`repro.core.decision`
-  and :mod:`repro.core.derandomization`;
+* :mod:`repro.engine.executor` — :class:`AcceptStream`, the one trial
+  sampler of compiled decisions, in ``fast`` (fully vectorized) and
+  ``exact`` (bit-for-bit reproduction of the reference tape streams) modes;
+* :mod:`repro.engine.adapters` — the engine counterparts of the reference
+  trial loops, used by the ``engine=`` dispatch in
+  :mod:`repro.core.decision` and :mod:`repro.core.derandomization`;
 * :mod:`repro.engine.construct` — the **construction engine**: compiles
   constructors (``output_program(ball)`` contract) into vectorized per-node
   draw programs producing the ``trials × nodes`` output matrix in one pass,
@@ -57,9 +57,8 @@ asserts that both engine modes agree with the reference loop — exactly for
 
 from repro.engine.adapters import (
     ENGINE_CHOICES,
-    engine_acceptance_probability,
     engine_single_trial_votes,
-    engine_success_counts,
+    engine_success_estimate,
     resolve_engine,
 )
 from repro.engine.cache import ResultCache, default_cache_dir, request_cache_key
@@ -100,8 +99,8 @@ from repro.engine.construct import (
 )
 from repro.engine.executor import (
     DEFAULT_MAX_BYTES,
+    AcceptStream,
     accept_vector,
-    acceptance_probability,
     exact_single_trial_votes,
     vote_matrix,
 )
@@ -112,6 +111,7 @@ __all__ = [
     "ENGINE_CHOICES",
     "MAX_OUTPUT_VALUES",
     "MAX_PROGRAM_DRAWS",
+    "AcceptStream",
     "CompiledConstruction",
     "CompiledDecision",
     "ConstructionCompilationError",
@@ -121,7 +121,6 @@ __all__ = [
     "VoteExpr",
     "VoteProgram",
     "accept_vector",
-    "acceptance_probability",
     "all_of",
     "any_of",
     "bernoulli_output",
@@ -135,9 +134,8 @@ __all__ = [
     "const_output",
     "construction_matrix",
     "default_cache_dir",
-    "engine_acceptance_probability",
     "engine_single_trial_votes",
-    "engine_success_counts",
+    "engine_success_estimate",
     "evaluate_output_expr",
     "evaluate_vote_expr",
     "exact_single_trial_votes",

@@ -2,9 +2,10 @@
 
 These helpers are what :mod:`repro.core.decision` and
 :mod:`repro.core.derandomization` dispatch to when a decider is compilable
-(see :func:`repro.engine.compiler.is_compilable`).  Each mirrors the exact
-seeding convention of the reference function it replaces, so callers choose
-between
+(see :func:`repro.engine.compiler.is_compilable`): one per quantity — the
+success estimate of a configuration (Pr[all accept], or its complement on
+non-members) and one decide() execution.  Each mirrors the exact seeding
+convention of the reference loop it replaces, so callers choose between
 
 * ``engine="auto"`` — compile and run in **exact** mode: bit-for-bit the
   same accept/reject stream as the reference loop, minus the per-trial
@@ -29,9 +30,6 @@ import numpy as np
 from repro.engine.compiler import compile_decision, is_compilable
 from repro.engine.executor import (
     AcceptStream,
-    accept_vector,
-    acceptance_probability,
-    adaptive_acceptance,
     deterministic_accept_value,
     exact_single_trial_votes,
 )
@@ -44,10 +42,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ENGINE_CHOICES",
     "resolve_engine",
-    "engine_acceptance_probability",
-    "engine_adaptive_acceptance",
-    "engine_success_counts",
-    "engine_adaptive_success",
+    "engine_success_estimate",
     "engine_single_trial_votes",
 ]
 
@@ -79,79 +74,38 @@ def resolve_engine(engine: str, decider: object) -> str:
     return engine
 
 
-def engine_acceptance_probability(
-    decider: "Decider",
-    configuration: "Configuration",
-    trials: int,
-    seed: int,
-    mode: str,
-) -> float:
-    """Engine counterpart of :meth:`Decider.acceptance_probability`.
-
-    Exact mode replays the reference seeding ``TapeFactory(seed + trial,
-    salt=decider.name)`` and therefore returns the identical estimate.
-    """
-    compiled = compile_decision(decider, configuration)
-    return acceptance_probability(
-        compiled,
-        trials,
-        seed=seed,
-        mode=mode,
-        trial_seed=lambda trial: seed + trial,
-        salt=decider.name,
-    )
-
-
-def engine_adaptive_acceptance(
+def engine_success_estimate(
     decider: "Decider",
     configuration: "Configuration",
     target: PrecisionTarget,
-    seed: int,
+    seed_base: int,
+    salt: object,
     mode: str,
+    member: bool = True,
 ) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`engine_acceptance_probability`.
+    """Engine counterpart of the reference trial loop of
+    :meth:`Decider.acceptance_estimate` and
+    :func:`repro.core.decision.estimate_guarantee`.
 
-    Same seeding convention (``TapeFactory(seed + trial, salt=decider.name)``
-    in exact mode), but trials stream in chunks until ``target`` is met —
-    stopping after ``k`` trials reports exactly the fixed ``k``-trial
-    estimate, because the streams are chunk-invariant.
-    """
-    compiled = compile_decision(decider, configuration)
-    return adaptive_acceptance(
-        compiled,
-        target,
-        seed=seed,
-        mode=mode,
-        trial_seed=lambda trial: seed + trial,
-        salt=decider.name,
-    )
-
-
-def engine_adaptive_success(
-    decider: "Decider",
-    configuration: "Configuration",
-    member: bool,
-    target: PrecisionTarget,
-    seed: int,
-    index: int,
-    mode: str,
-) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`engine_success_counts` (success =
-    accepted on members, rejected on non-members), on the same reference
-    seeding ``TapeFactory(seed * 1_000_003 + trial, salt=f"{name}/{index}")``.
+    Success means "all accept" (``member=True``) or "some node rejects"
+    (``member=False``); exact mode replays the reference seeding
+    ``TapeFactory(seed_base + trial, salt)``.  Trials stream in batches
+    until ``target`` is met — one batch for a fixed budget — and a stop at
+    ``k`` trials reports exactly the ``k``-trial estimate, because the
+    streams are chunk-invariant.  A structurally constant decision under a
+    half-width target returns the exact degenerate estimate without
+    sampling.
     """
     compiled = compile_decision(decider, configuration)
     constant = deterministic_accept_value(compiled)
-    if constant is not None:
-        return ProbabilityEstimate.exact(
-            constant if member else not constant, confidence=target.confidence
-        )
+    if constant is not None and not target.is_fixed:
+        return ProbabilityEstimate.exact(constant == member, confidence=target.confidence)
     stream = AcceptStream(
         compiled,
-        seed=seed * 1_000_003,
+        seed=seed_base,
         mode=mode,
-        trial_seed=lambda trial: seed * 1_000_003 + trial,
-        salt=f"{decider.name}/{index}",
+        trial_seed=lambda trial: seed_base + trial,
+        salt=salt,
     )
 
     def draw(count: int) -> int:
@@ -159,35 +113,6 @@ def engine_adaptive_success(
         return accepted if member else count - accepted
 
     return sequential_estimate(target, draw)
-
-
-def engine_success_counts(
-    decider: "Decider",
-    configuration: "Configuration",
-    member: bool,
-    trials: int,
-    seed: int,
-    index: int,
-    mode: str,
-) -> int:
-    """Engine counterpart of one configuration's inner loop in
-    :func:`repro.core.decision.estimate_guarantee`.
-
-    Success means "accepted" on members and "rejected" on non-members; exact
-    mode replays the reference seeding ``TapeFactory(seed * 1_000_003 +
-    trial, salt=f"{decider.name}/{index}")``.
-    """
-    compiled = compile_decision(decider, configuration)
-    accepted = accept_vector(
-        compiled,
-        trials,
-        seed=seed * 1_000_003,
-        mode=mode,
-        trial_seed=lambda trial: seed * 1_000_003 + trial,
-        salt=f"{decider.name}/{index}",
-    )
-    successes = accepted if member else ~accepted
-    return int(np.count_nonzero(successes))
 
 
 def engine_single_trial_votes(

@@ -109,7 +109,6 @@ __all__ = [
     "compile_membership",
     "FusedDecision",
     "compile_fused_decision",
-    "batched_success_counts",
     "batched_bad_counts",
     "batched_acceptance_and_membership",
     "batched_far_acceptance",
@@ -522,8 +521,8 @@ def construction_matrix(
     ``max_bytes`` because each node's generator is consumed sequentially.
 
     This is the one-shot form of :class:`ConstructionStream` (a single
-    ``sample(trials)`` on a fresh stream), so the fixed-trial and adaptive
-    paths cannot drift apart: there is exactly one sampling implementation.
+    ``sample(trials)`` on a fresh stream): there is exactly one sampling
+    implementation.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -859,42 +858,6 @@ def _shared_codes(
     )
 
 
-def batched_success_counts(
-    constructor: object,
-    language: "DistributedLanguage",
-    network: "Network",
-    trials: int,
-    seed_base: int,
-    salt: object,
-    mode: str,
-    max_bytes: Optional[int] = None,
-) -> int:
-    """Engine counterpart of one instance's inner loop in
-    :func:`repro.core.construction.estimate_success_probability` (and, with
-    the complement, :func:`repro.core.derandomization.find_hard_instances`).
-
-    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit.
-    Returns the number of trials whose constructed configuration belongs to
-    the language.
-    """
-    compiled = compile_construction(constructor, network)
-    context = _active_fusion()
-    if context is not None:
-        members = context.member_vector_for(compiled, language, trials, seed_base, salt, mode)
-        if members is not None:
-            return int(np.count_nonzero(members))
-    codes = construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
-    return int(np.count_nonzero(_member_vector(language, compiled, codes)))
-
-
 def batched_bad_counts(
     constructor: object,
     language: "DistributedLanguage",
@@ -1040,18 +1003,8 @@ class ConstructionStream:
         self._trial_seed = trial_seed
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
-        self._generators: List[np.random.Generator] = []
-        if mode == "fast":
-            self._generators = [
-                derive_generator(
-                    int(seed),
-                    "construct-fast",
-                    self._salt,
-                    compiled.constructor_name,
-                    int(compiled.identities[position]),
-                )
-                for position in compiled.random_index
-            ]
+        self._seed = seed
+        self._generators: Optional[List[np.random.Generator]] = None  # opened on first use
 
     @property
     def trials_sampled(self) -> int:
@@ -1087,6 +1040,17 @@ class ConstructionStream:
                         )
                         codes[trial, position] = program.sample_exact(generator)
                 return codes
+            if self._generators is None:
+                self._generators = [
+                    derive_generator(
+                        int(self._seed),
+                        "construct-fast",
+                        self._salt,
+                        compiled.constructor_name,
+                        int(compiled.identities[position]),
+                    )
+                    for position in random_positions
+                ]
             trial_block = max(1, self._max_bytes // (8 * max(len(random_positions), 1)))
             for lo in range(0, count, trial_block):
                 hi = min(count, lo + trial_block)
@@ -1096,6 +1060,37 @@ class ConstructionStream:
                         generator, hi - lo
                     )
             return codes
+
+
+def _trial_batches(
+    stream: ConstructionStream,
+    fused: Optional[Callable[[int], Optional[np.ndarray]]],
+    derive: Callable[[np.ndarray], np.ndarray],
+) -> Callable[[int], np.ndarray]:
+    """``batch(count)``: ``derive(codes)`` for the next ``count`` trials of
+    ``stream``'s trial sequence.
+
+    Inside a fused sweep group, ``fused(total)`` serves the first ``total``
+    rows from the shared memo and a batch is their ``[start:]`` slice — so a
+    fixed budget makes exactly the one memo request it always made, and an
+    adaptive run grows the shared matrix.  The memo declines a request (and
+    every larger one) by returning ``None``; the stream then catches up to
+    the batch's offset and samples it.  Both sources are bit-identical by
+    the memo's exactness contract.
+    """
+    offset = 0
+
+    def batch(count: int) -> np.ndarray:
+        nonlocal offset
+        start, offset = offset, offset + count
+        served = fused(offset) if fused is not None else None
+        if served is not None:
+            return served[start:]
+        if stream.trials_sampled < start:
+            stream.sample(start - stream.trials_sampled)
+        return derive(stream.sample(count))
+
+    return batch
 
 
 def adaptive_success_estimate(
@@ -1108,13 +1103,18 @@ def adaptive_success_estimate(
     mode: str,
     max_bytes: Optional[int] = None,
 ) -> ProbabilityEstimate:
-    """Adaptive counterpart of :func:`batched_success_counts`: construct in
-    chunks, test membership per chunk, stop once ``target`` is met.
+    """Engine counterpart of one instance's reference loop in
+    :func:`repro.core.construction.success_estimate`: construct in batches,
+    test membership per batch, stop once ``target`` is met (one batch for a
+    fixed budget).  Returns the estimate of Pr[the constructed configuration
+    belongs to ``language``].
 
-    Same seeding (``TapeFactory(seed_base + trial, salt)`` in exact mode),
-    chunk-invariant streams — stopping after ``k`` trials reports exactly
-    the fixed ``k``-trial success rate.  Constructions with no random
-    outputs are deterministic and return an exact degenerate estimate.
+    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit;
+    the streams are chunk-invariant, so stopping after ``k`` trials reports
+    exactly the ``k``-trial success rate.  Inside a fused sweep group the
+    membership vector is served from the shared context.  Constructions with
+    no random outputs are deterministic and, under a half-width target,
+    return an exact degenerate estimate.
     """
     compiled = compile_construction(constructor, network)
     stream = ConstructionStream(
@@ -1125,15 +1125,20 @@ def adaptive_success_estimate(
         salt=salt,
         max_bytes=max_bytes,
     )
-    if len(compiled.random_index) == 0:
+    if len(compiled.random_index) == 0 and not target.is_fixed:
         member = bool(_member_vector(language, compiled, stream.sample(1))[0])
         return ProbabilityEstimate.exact(member, confidence=target.confidence)
-    return sequential_estimate(
-        target,
-        lambda count: int(
-            np.count_nonzero(_member_vector(language, compiled, stream.sample(count)))
+    context = _active_fusion()
+    members = _trial_batches(
+        stream,
+        None
+        if context is None
+        else lambda total: context.member_vector_for(
+            compiled, language, total, seed_base, salt, mode
         ),
+        lambda codes: _member_vector(language, compiled, codes),
     )
+    return sequential_estimate(target, lambda count: int(np.count_nonzero(members(count))))
 
 
 def adaptive_far_acceptance(
@@ -1149,13 +1154,15 @@ def adaptive_far_acceptance(
     mode: str,
     max_bytes: Optional[int] = None,
 ) -> Optional[ProbabilityEstimate]:
-    """Adaptive counterpart of :func:`batched_far_acceptance` for a single
-    anchor: fused construct→decide chunks until ``target`` is met.
+    """Engine counterpart of the reference loop of
+    :func:`~repro.core.derandomization.far_acceptance_estimate` for a single
+    anchor: fused construct→decide batches until ``target`` is met (one
+    batch for a fixed budget).
 
     Returns ``None`` when decider fusion is unavailable (callers fall back
     to the per-trial reference loop, which handles every decider).  The
-    seeding and streams match the batched path bit for bit, so stopping
-    after ``k`` trials reports the fixed ``k``-trial estimate.
+    seeding and streams match :func:`batched_far_acceptance` bit for bit,
+    so stopping after ``k`` trials reports the ``k``-trial estimate.
     """
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
@@ -1174,15 +1181,25 @@ def adaptive_far_acceptance(
         salt=construct_salt,
         max_bytes=max_bytes,
     )
+    context = _active_fusion()
+    codes_of = _trial_batches(
+        stream,
+        None
+        if context is None
+        else lambda total: context.codes_for(compiled, total, seed_base, construct_salt, mode),
+        lambda codes: codes,
+    )
     fast_votes = (
         fused.fast_vote_stream(seed_base, decide_salt, max_bytes=max_bytes)
         if mode == "fast"
         else None
     )
+    offset = 0
 
     def draw(count: int) -> int:
-        start = stream.trials_sampled
-        codes = stream.sample(count)
+        nonlocal offset
+        start, offset = offset, offset + count
+        codes = codes_of(count)
         if fast_votes is not None:
             votes = fast_votes(codes)
         else:

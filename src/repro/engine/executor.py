@@ -15,31 +15,38 @@ provided:
     product :attr:`CompiledDecision.deterministic_accept_probability`.
     Per-node generators also make the stream independent of the chunking
     below: the same ``(seed, salt)`` yields the same accept vector for any
-    ``max_bytes``.
+    ``max_bytes`` and any batch schedule.
 
 ``exact``
     Bit-for-bit reproduction of the reference path: for trial ``i`` the
     ``k``-th uniform consumed by node ``v``'s program is the ``k``-th draw
     of the tape ``TapeFactory(trial_seed(i), salt).tape_for(identity(v))``,
-    exactly the stream :meth:`repro.core.decision.Decider.acceptance_probability`
+    exactly the stream :meth:`repro.core.decision.Decider.acceptance_estimate`
     and :func:`repro.core.decision.estimate_guarantee` consume.  Only nodes
     whose vote genuinely depends on draws ever read their tape (matching
     the reference voting rules, which return early on deterministic balls),
     so this mode still skips the per-trial tape construction for every
     deterministic node — usually the overwhelming majority.
 
+One sampler
+-----------
+:class:`AcceptStream` is the only sampler: estimators pull batches from it
+(one batch for a fixed budget, a doubling schedule for a precision target),
+and :func:`accept_vector` / :func:`vote_matrix` are the first batch of a
+fresh stream.
+
 Chunked execution
 -----------------
 The fast mode never materialises one giant ``trials × coins`` matrix: the
-coin-flipping nodes are processed in **column blocks** whose uniform
-working set stays below ``max_bytes`` (default :data:`DEFAULT_MAX_BYTES`,
-overridable per call or via ``$REPRO_ENGINE_MAX_BYTES``), carrying the
-per-trial accept vector across blocks and short-circuiting the remaining
-columns once every trial has rejected.  The exact mode is a per-trial walk
-and is memory-bounded by construction; its acceptance path short-circuits
-each trial at the first rejecting coin, exactly like the reference loop's
-early return (per-node draws are independent, so skipping later coins skips
-values that could not affect the conjunction).
+coin-flipping nodes are grouped by program and each group's trial axis is
+sliced so its uniform working set stays below ``max_bytes`` (default
+:data:`DEFAULT_MAX_BYTES`, overridable per call or via
+``$REPRO_ENGINE_MAX_BYTES``), folding each slice into the per-trial accept
+vector.  The exact mode is a per-trial walk and is memory-bounded by
+construction; its acceptance path short-circuits each trial at the first
+rejecting coin, exactly like the reference loop's early return (per-node
+draws are independent, so skipping later coins skips values that could not
+affect the conjunction).
 """
 
 from __future__ import annotations
@@ -52,17 +59,14 @@ import numpy as np
 from repro.engine.compiler import ACCEPT, CompiledDecision, VoteProgram
 from repro.local.randomness import derive_generator
 from repro.obs import get_recorder
-from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
 __all__ = [
     "DEFAULT_MAX_BYTES",
+    "AcceptStream",
     "accept_vector",
     "vote_matrix",
-    "acceptance_probability",
     "exact_single_trial_votes",
     "deterministic_accept_value",
-    "AcceptStream",
-    "adaptive_acceptance",
 ]
 
 _MODES = ("fast", "exact")
@@ -102,14 +106,14 @@ def _resolve(
 
 
 # --------------------------------------------------------------------------- #
-# Fast mode: vectorized program evaluation over column blocks
+# Fast mode: vectorized program evaluation
 # --------------------------------------------------------------------------- #
 def _fast_node_generator(
     compiled: CompiledDecision, position: int, seed: int, salt: object
 ) -> np.random.Generator:
     """One coin-flipping node's fast-mode generator, derived from the node
-    identity — so the stream a node sees is independent of which block (and
-    which ``max_bytes``) it lands in."""
+    identity — so the stream a node sees is independent of how its trials
+    are batched or how the working set is sliced."""
     return derive_generator(
         int(seed),
         "engine-fast",
@@ -140,78 +144,6 @@ def _evaluate_program_block(program: VoteProgram, uniforms: np.ndarray) -> np.nd
             takes_true[at_node], program.on_true[node], program.on_false[node]
         )
     return state == ACCEPT
-
-
-def _fast_column_blocks(
-    compiled: CompiledDecision,
-    positions: np.ndarray,
-    trials: int,
-    max_bytes: int,
-) -> Iterator[Tuple[VoteProgram, List[int]]]:
-    """Group the coin-flipping node positions into per-program column blocks
-    whose uniform working set stays below ``max_bytes``.
-
-    Positions are grouped by program (not by adjacency in node order), so
-    configurations with interleaved ball classes still evaluate each program
-    in a handful of vectorized passes.  The resulting streams are
-    block-independent anyway: every node draws from its own generator.
-    """
-    budget_draws = max(1, max_bytes // (8 * max(trials, 1)))
-    by_program: "dict[int, List[int]]" = {}
-    for position in positions:
-        by_program.setdefault(int(compiled.program_ids[position]), []).append(int(position))
-    for program_id, group in by_program.items():
-        program = compiled.programs[program_id]
-        width = max(1, budget_draws // max(program.max_draws, 1))
-        for start in range(0, len(group), width):
-            yield program, group[start : start + width]
-
-
-def _fast_votes_for(
-    compiled: CompiledDecision,
-    program: VoteProgram,
-    positions: List[int],
-    trials: int,
-    seed: int,
-    salt: object,
-    max_bytes: int,
-) -> np.ndarray:
-    """One program group's ``trials × len(positions)`` fast-mode votes.
-
-    The trial axis is sliced so the uniform working set also honours
-    ``max_bytes`` when a *single* node column at full ``trials`` would
-    already exceed it (the high-trial regime the bound exists for).  Each
-    node's generator is created once and consumed sequentially across
-    slices, so the values equal the unsliced generation exactly
-    (``Generator.random`` fills C-order): chunk-invariance holds on both
-    axes.
-    """
-    recorder = get_recorder()
-    draws = max(program.max_draws, 1)
-    generators = [
-        _fast_node_generator(compiled, position, seed, salt) for position in positions
-    ]
-    votes = np.empty((trials, len(positions)), dtype=bool)
-    trial_block = max(1, max_bytes // (8 * len(positions) * draws))
-    # Telemetry is observation only: the span times the block, the chunk
-    # counter tallies it — neither touches a generator, so the sampled
-    # stream (and hence every estimate) is identical with telemetry on/off.
-    with recorder.span(
-        "engine.chunk",
-        mode="fast",
-        trials=trials,
-        columns=len(positions),
-        draws=draws,
-        working_set_bytes=min(trials, trial_block) * len(positions) * draws * 8,
-    ):
-        for start in range(0, trials, trial_block):
-            stop = min(trials, start + trial_block)
-            recorder.counter("engine.chunks")
-            uniforms = np.empty((stop - start, len(positions), draws), dtype=np.float64)
-            for column, generator in enumerate(generators):
-                uniforms[:, column, :] = generator.random((stop - start, draws))
-            votes[start:stop] = _evaluate_program_block(program, uniforms)
-    return votes
 
 
 # --------------------------------------------------------------------------- #
@@ -271,140 +203,13 @@ def _exact_votes(
 # --------------------------------------------------------------------------- #
 # Public entry points
 # --------------------------------------------------------------------------- #
-def accept_vector(
-    compiled: CompiledDecision,
-    trials: int,
-    seed: int = 0,
-    mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
-    salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """Per-trial global acceptance (``all`` over the node votes).
-
-    Returns a boolean vector of length ``trials``.  Only the coin-flipping
-    nodes are sampled; a deterministic reject anywhere short-circuits the
-    whole matrix to ``False``.  ``max_bytes`` bounds the fast mode's uniform
-    working set (see the module docstring).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    salt, trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
-    max_bytes = _resolve_max_bytes(max_bytes)
-    if compiled.always_rejects:
-        return np.zeros(trials, dtype=bool)
-    random_positions = compiled.random_index
-    if len(random_positions) == 0:
-        return np.ones(trials, dtype=bool)
-    recorder = get_recorder()
-    with recorder.span(
-        "engine.execute",
-        op="accept_vector",
-        mode=mode,
-        trials=trials,
-        nodes=compiled.n_nodes,
-        random_nodes=len(random_positions),
-        max_bytes=max_bytes,
-    ) as span:
-        if mode == "exact":
-            recorder.counter("engine.chunks")
-            return _exact_accepts(compiled, trials, trial_seed, salt)
-        accepted = np.ones(trials, dtype=bool)
-        blocks = 0
-        for program, positions in _fast_column_blocks(
-            compiled, random_positions, trials, max_bytes
-        ):
-            if not accepted.any():  # short-circuit carry: everything rejected
-                span.annotate(short_circuited=True)
-                break
-            votes = _fast_votes_for(
-                compiled, program, positions, trials, seed, salt, max_bytes
-            )
-            accepted &= votes.all(axis=1)
-            blocks += 1
-        span.annotate(column_blocks=blocks)
-    return accepted
-
-
-def vote_matrix(
-    compiled: CompiledDecision,
-    trials: int,
-    seed: int = 0,
-    mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
-    salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
-) -> np.ndarray:
-    """The full ``trials × nodes`` boolean vote matrix.
-
-    Use :func:`accept_vector` when only global acceptance is needed — it
-    avoids materialising the deterministic columns and short-circuits.  This
-    entry point serves callers that reduce over *subsets* of the node votes
-    (the single-trial case is :func:`exact_single_trial_votes`, which the
-    derandomization loops use for the Claim 4 far-acceptance events).
-    """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    salt, trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
-    max_bytes = _resolve_max_bytes(max_bytes)
-    votes = np.broadcast_to(compiled.probabilities >= 1.0, (trials, compiled.n_nodes)).copy()
-    random_positions = compiled.random_index
-    if len(random_positions) == 0:
-        return votes
-    recorder = get_recorder()
-    with recorder.span(
-        "engine.execute",
-        op="vote_matrix",
-        mode=mode,
-        trials=trials,
-        nodes=compiled.n_nodes,
-        random_nodes=len(random_positions),
-        max_bytes=max_bytes,
-    ):
-        if mode == "exact":
-            recorder.counter("engine.chunks")
-            votes[:, random_positions] = _exact_votes(
-                compiled, random_positions, trials, trial_seed, salt
-            )
-            return votes
-        for program, positions in _fast_column_blocks(
-            compiled, random_positions, trials, max_bytes
-        ):
-            votes[:, positions] = _fast_votes_for(
-                compiled, program, positions, trials, seed, salt, max_bytes
-            )
-    return votes
-
-
-def acceptance_probability(
-    compiled: CompiledDecision,
-    trials: int,
-    seed: int = 0,
-    mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
-    salt: Optional[object] = None,
-    max_bytes: Optional[int] = None,
-) -> float:
-    """Monte-Carlo Pr[all nodes accept] over ``trials`` batched trials."""
-    accepted = accept_vector(
-        compiled,
-        trials,
-        seed=seed,
-        mode=mode,
-        trial_seed=trial_seed,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
-    return float(np.count_nonzero(accepted)) / trials
-
-
 def deterministic_accept_value(compiled: CompiledDecision) -> Optional[bool]:
     """The global accept value when it is structurally determined.
 
     ``False`` when some node's program is constantly rejecting, ``True``
     when every program is constantly accepting, ``None`` when acceptance
-    genuinely depends on draws.  The adaptive estimators use this to report
-    exact degenerate estimates instead of sampling a constant.
+    genuinely depends on draws.  Estimators with a precision target use this
+    to report exact degenerate estimates instead of sampling a constant.
     """
     if compiled.always_rejects:
         return False
@@ -413,23 +218,30 @@ def deterministic_accept_value(compiled: CompiledDecision) -> Optional[bool]:
     return None
 
 
+#: One program's fast-mode column group: (program, node generators, positions).
+_FastGroup = Tuple[VoteProgram, List[np.random.Generator], List[int]]
+
+
 class AcceptStream:
-    """A resumable per-trial acceptance stream over a compiled decision.
+    """The trial stream of a compiled decision: the one sampler of both modes.
 
     ``sample(count)`` returns the accept vector of the **next** ``count``
-    trials; the concatenation of successive samples is bit-identical to one
-    :func:`accept_vector` call with the total trial count, in both modes:
+    trials and ``votes(count)`` their full ``count × nodes`` vote matrix;
+    the concatenation of successive batches is bit-identical to one batch
+    with the total trial count, in both modes:
 
     * exact mode derives every trial from its own master seed
       (``trial_seed(t)``), so a batch starting at offset ``o`` simply walks
       trials ``o .. o+count-1``;
     * fast mode holds every coin-flipping node's generator open across
       batches — each node's uniforms arrive in ``(trial, draw)`` order
-      regardless of batching, exactly the chunk-invariance the fixed-trial
-      path already guarantees for ``max_bytes`` slicing.
+      regardless of batching, and the trial axis is sliced so the uniform
+      working set stays below ``max_bytes``.
 
     This is what lets a sequential-stopping rule decide *after* a chunk
-    whether to continue, without perturbing a single sampled value.
+    whether to continue, without perturbing a single sampled value; the
+    one-shot :func:`accept_vector` and :func:`vote_matrix` are a fresh
+    stream's first batch.
     """
 
     def __init__(
@@ -443,98 +255,152 @@ class AcceptStream:
     ) -> None:
         self.compiled = compiled
         self.mode = mode
+        self._seed = seed
         self._salt, self._trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._constant = deterministic_accept_value(compiled)
-        self._groups: List[Tuple[VoteProgram, List[int]]] = []
-        self._generators: Dict[int, np.random.Generator] = {}
-        if self._constant is None and mode == "fast":
-            by_program: "Dict[int, List[int]]" = {}
-            for position in compiled.random_index:
-                by_program.setdefault(
-                    int(compiled.program_ids[position]), []
-                ).append(int(position))
-            self._groups = [
-                (compiled.programs[program_id], group)
-                for program_id, group in by_program.items()
-            ]
-            self._generators = {
-                position: _fast_node_generator(compiled, position, seed, self._salt)
-                for _, group in self._groups
-                for position in group
-            }
+        self._groups: Optional[List[_FastGroup]] = None  # opened on the first fast batch
 
     @property
     def trials_sampled(self) -> int:
         return self._offset
 
-    def sample(self, count: int) -> np.ndarray:
-        """The accept vector of the next ``count`` trials."""
+    def _advance(self, count: int) -> int:
         if count < 1:
-            raise ValueError("count must be positive")
+            raise ValueError("trials must be positive")
         start = self._offset
         self._offset += count
+        return start
+
+    def _span(self, op: str, count: int, start: int):
+        return get_recorder().span(
+            "engine.execute",
+            op=op,
+            mode=self.mode,
+            trials=count,
+            offset=start,
+            nodes=self.compiled.n_nodes,
+            random_nodes=len(self.compiled.random_index),
+        )
+
+    def _fast_blocks(self, count: int) -> Iterator[Tuple[List[int], int, int, np.ndarray]]:
+        """``(positions, lo, hi, votes)`` blocks of the next ``count`` fast
+        trials, grouped by program.  Every node's generator advances exactly
+        ``count`` trials per batch, or the next batch would read a shifted
+        stream and break chunk invariance."""
+        compiled = self.compiled
+        if self._groups is None:
+            by_program: Dict[int, List[int]] = {}
+            for position in compiled.random_index:
+                by_program.setdefault(int(compiled.program_ids[position]), []).append(
+                    int(position)
+                )
+            self._groups = [
+                (
+                    compiled.programs[program_id],
+                    [
+                        _fast_node_generator(compiled, position, self._seed, self._salt)
+                        for position in group
+                    ],
+                    group,
+                )
+                for program_id, group in by_program.items()
+            ]
+        recorder = get_recorder()
+        for program, generators, positions in self._groups:
+            draws = max(program.max_draws, 1)
+            trial_block = max(1, self._max_bytes // (8 * len(positions) * draws))
+            for lo in range(0, count, trial_block):
+                hi = min(count, lo + trial_block)
+                recorder.counter("engine.chunks")
+                uniforms = np.empty((hi - lo, len(positions), draws), dtype=np.float64)
+                for column, generator in enumerate(generators):
+                    uniforms[:, column, :] = generator.random((hi - lo, draws))
+                yield positions, lo, hi, _evaluate_program_block(program, uniforms)
+
+    def _shifted_seed(self, start: int) -> Callable[[int], int]:
+        return lambda trial: self._trial_seed(start + trial)
+
+    def sample(self, count: int) -> np.ndarray:
+        """The accept vector of the next ``count`` trials."""
+        start = self._advance(count)
         if self._constant is not None:
             return np.full(count, self._constant, dtype=bool)
-        recorder = get_recorder()
-        with recorder.span(
-            "engine.stream_sample", mode=self.mode, trials=count, offset=start
-        ):
+        with self._span("sample", count, start):
             if self.mode == "exact":
-                recorder.counter("engine.chunks")
+                get_recorder().counter("engine.chunks")
                 return _exact_accepts(
-                    self.compiled,
-                    count,
-                    lambda trial: self._trial_seed(start + trial),
-                    self._salt,
+                    self.compiled, count, self._shifted_seed(start), self._salt
                 )
             accepted = np.ones(count, dtype=bool)
-            for program, positions in self._groups:
-                draws = max(program.max_draws, 1)
-                votes = np.empty((count, len(positions)), dtype=bool)
-                trial_block = max(1, self._max_bytes // (8 * len(positions) * draws))
-                for lo in range(0, count, trial_block):
-                    hi = min(count, lo + trial_block)
-                    recorder.counter("engine.chunks")
-                    uniforms = np.empty((hi - lo, len(positions), draws), dtype=np.float64)
-                    for column, position in enumerate(positions):
-                        uniforms[:, column, :] = self._generators[position].random(
-                            (hi - lo, draws)
-                        )
-                    votes[lo:hi] = _evaluate_program_block(program, uniforms)
-                # No cross-group short-circuit: every node's generator must
-                # advance exactly ``count`` trials per batch, or the next batch
-                # would read a shifted stream and break chunk invariance.
-                accepted &= votes.all(axis=1)
+            for _positions, lo, hi, votes in self._fast_blocks(count):
+                accepted[lo:hi] &= votes.all(axis=1)
             return accepted
 
+    def votes(self, count: int) -> np.ndarray:
+        """The ``count × nodes`` vote matrix of the next ``count`` trials."""
+        start = self._advance(count)
+        compiled = self.compiled
+        votes = np.broadcast_to(compiled.probabilities >= 1.0, (count, compiled.n_nodes)).copy()
+        random_positions = compiled.random_index
+        if len(random_positions) == 0:
+            return votes
+        with self._span("votes", count, start):
+            if self.mode == "exact":
+                get_recorder().counter("engine.chunks")
+                votes[:, random_positions] = _exact_votes(
+                    compiled, random_positions, count, self._shifted_seed(start), self._salt
+                )
+                return votes
+            for positions, lo, hi, block in self._fast_blocks(count):
+                votes[lo:hi, positions] = block
+        return votes
 
-def adaptive_acceptance(
+
+def accept_vector(
     compiled: CompiledDecision,
-    target: PrecisionTarget,
+    trials: int,
     seed: int = 0,
     mode: str = "fast",
     trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
-) -> ProbabilityEstimate:
-    """Estimate Pr[all accept] until ``target`` is met (sequential stopping).
+) -> np.ndarray:
+    """Per-trial global acceptance (``all`` over the node votes).
 
-    The trial stream is the same chunk-invariant stream the fixed-trial
-    :func:`acceptance_probability` consumes, so stopping after ``k`` trials
-    reports exactly the ``k``-trial fixed estimate.  Structurally constant
-    decisions return the exact degenerate estimate without sampling.
+    Returns a boolean vector of length ``trials``: the first batch of a
+    fresh :class:`AcceptStream`.  Only the coin-flipping nodes are sampled;
+    a structurally constant decision is returned without sampling.
+    ``max_bytes`` bounds the fast mode's uniform working set (see the module
+    docstring).
     """
-    constant = deterministic_accept_value(compiled)
-    if constant is not None:
-        return ProbabilityEstimate.exact(constant, confidence=target.confidence)
-    stream = AcceptStream(
+    return AcceptStream(
         compiled, seed=seed, mode=mode, trial_seed=trial_seed, salt=salt, max_bytes=max_bytes
-    )
-    return sequential_estimate(
-        target, lambda count: int(np.count_nonzero(stream.sample(count)))
-    )
+    ).sample(trials)
+
+
+def vote_matrix(
+    compiled: CompiledDecision,
+    trials: int,
+    seed: int = 0,
+    mode: str = "fast",
+    trial_seed: Optional[Callable[[int], int]] = None,
+    salt: Optional[object] = None,
+    max_bytes: Optional[int] = None,
+) -> np.ndarray:
+    """The full ``trials × nodes`` boolean vote matrix: the first
+    :meth:`AcceptStream.votes` batch of a fresh stream.
+
+    Use :func:`accept_vector` when only global acceptance is needed — it
+    never materialises the per-node columns.  This entry point serves
+    callers that reduce over *subsets* of the node votes (the single-trial
+    case is :func:`exact_single_trial_votes`, which the derandomization
+    loops use for the Claim 4 far-acceptance events).
+    """
+    return AcceptStream(
+        compiled, seed=seed, mode=mode, trial_seed=trial_seed, salt=salt, max_bytes=max_bytes
+    ).votes(trials)
 
 
 def exact_single_trial_votes(

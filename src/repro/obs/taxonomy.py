@@ -90,14 +90,8 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.execute",
         "span",
         "engine/executor.py",
-        "op (`accept_vector`/`vote_matrix`), mode (fast/exact), trials, "
-        "working-set bytes",
-    ),
-    Signal(
-        "engine.chunk",
-        "span",
-        "engine/executor.py",
-        "one fast-mode column block: trials, columns, draws, working-set bytes",
+        "one accept-stream batch: op (`sample`/`votes`), mode (fast/exact), "
+        "trials, offset, node & random-node counts",
     ),
     Signal(
         "engine.construct",
@@ -118,12 +112,6 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine/fusion.py",
         "one fusion group's execution: point count, then hit/miss and "
         "retained-byte tallies on close",
-    ),
-    Signal(
-        "engine.stream_sample",
-        "span",
-        "engine/executor.py",
-        "one resumable accept-stream batch: mode, trials, offset",
     ),
     Signal(
         "cache.lookup",
@@ -175,7 +163,7 @@ SIGNALS: Tuple[Signal, ...] = (
         "engine.chunks",
         "counter",
         "engine/executor.py",
-        "trial/column blocks executed (executor and construction streams)",
+        "trial blocks executed (accept and construction streams)",
     ),
     Signal(
         "engine.fuse_hits",

@@ -1,7 +1,7 @@
 """repro.stats — adaptive-precision statistics for the Monte-Carlo engine.
 
-The fixed-trial estimators ask "how many trials?"; this layer answers "how
-precise?".  It provides
+A trial budget asks "how many trials?"; a precision target asks "how
+precise?".  This layer answers both with one stopping rule.  It provides
 
 * streaming accumulators (:class:`StreamingMoments`,
   :class:`BernoulliAccumulator`) that fold the engine's trial chunks into
@@ -11,10 +11,11 @@ precise?".  It provides
   verdicts the CI-aware harness uses (``True`` / ``False`` / ``None`` =
   unresolved),
 * the :class:`PrecisionTarget` sequential-stopping rule and
-  :func:`sequential_estimate`, which the chunked executor and construction
-  engine drive between chunks (see :mod:`repro.stats.stopping` for the
-  exactness contract: ``precision=None`` leaves every estimator
-  bit-identical to its fixed-trial history).
+  :func:`sequential_estimate`, the one loop every estimator runs: a
+  precision target stops once its interval is narrow enough, and a fixed
+  budget (:meth:`PrecisionTarget.fixed`, what ``precision=None`` means) is
+  the target that runs straight to its cap in one draw (see
+  :mod:`repro.stats.stopping` for the exactness contract).
 
 Entry points upward: ``Decider.acceptance_probability`` /
 ``estimate_guarantee`` / ``estimate_success_probability`` /
@@ -25,8 +26,10 @@ the precision capability; ``Session`` and the CLI expose
 
 from repro.stats.accumulators import BernoulliAccumulator, StreamingMoments
 from repro.stats.intervals import (
+    Z196_CONFIDENCE,
     ConfidenceInterval,
     hoeffding_interval,
+    normal_confidence,
     normal_quantile,
     tri_all,
     wilson_half_width,
@@ -39,6 +42,8 @@ __all__ = [
     "StreamingMoments",
     "ConfidenceInterval",
     "normal_quantile",
+    "normal_confidence",
+    "Z196_CONFIDENCE",
     "wilson_interval",
     "hoeffding_interval",
     "wilson_half_width",

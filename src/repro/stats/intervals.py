@@ -37,6 +37,8 @@ __all__ = [
     "wilson_interval",
     "hoeffding_interval",
     "wilson_half_width",
+    "normal_confidence",
+    "Z196_CONFIDENCE",
     "tri_all",
 ]
 
@@ -165,6 +167,17 @@ def normal_quantile(confidence: float) -> float:
     return _norm_ppf(0.5 + confidence / 2.0)
 
 
+def normal_confidence(z: float) -> float:
+    """The two-sided confidence of critical value ``z``: ``P(|N(0,1)| <= z)``
+    (the inverse of :func:`normal_quantile`), with Φ computed via erfc."""
+    return 2.0 * (0.5 * math.erfc(-z / math.sqrt(2.0))) - 1.0
+
+
+#: The confidence of the ``z = 1.96`` Wilson interval (0.9500042...) that the
+#: guarantee and success-probability tables report at a fixed budget.
+Z196_CONFIDENCE = normal_confidence(1.96)
+
+
 # --------------------------------------------------------------------------- #
 # Intervals for Bernoulli proportions
 # --------------------------------------------------------------------------- #
@@ -217,13 +230,11 @@ def hoeffding_interval(
 def wilson_half_width(successes: int, trials: int, z: float = 1.96) -> float:
     """Half-width of the Wilson interval at critical value ``z``.
 
-    This is the helper the pre-stats layers duplicated in
-    ``repro.core.decision`` and ``repro.core.construction``; both now import
-    it from here.  ``trials == 0`` returns ``nan`` (no data, no interval),
-    matching the historical behaviour of those copies.
+    At the default ``z`` this is the half-width the guarantee and
+    success-probability tables report at a fixed budget (their fixed targets
+    carry :data:`Z196_CONFIDENCE`).  ``trials == 0`` returns ``nan`` (no
+    data, no interval).
     """
     if trials == 0:
         return float("nan")
-    # z -> confidence: P(|N| <= z) = 2Φ(z) - 1, with Φ computed via erfc.
-    confidence = 2.0 * (0.5 * math.erfc(-z / math.sqrt(2.0))) - 1.0
-    return wilson_interval(successes, trials, confidence=confidence).half_width
+    return wilson_interval(successes, trials, confidence=normal_confidence(z)).half_width

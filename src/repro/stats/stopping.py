@@ -1,12 +1,18 @@
 """Sequential stopping: run trials *until a precision target is met*.
 
-The fixed-trial estimators guess their budgets: quick presets flap because
-the CI is still wide, full presets keep sampling long after the estimate
-converged.  A :class:`PrecisionTarget` replaces the guess with a contract —
-"stop once the two-sided CI half-width is at most ``half_width`` at the
-given ``confidence``, after at least ``min_trials`` and at most
-``max_trials`` trials" — and :func:`sequential_estimate` drives any batched
-success counter to that target on a deterministic doubling schedule.
+A fixed trial budget guesses: quick presets flap because the CI is still
+wide, full presets keep sampling long after the estimate converged.  A
+:class:`PrecisionTarget` replaces the guess with a contract — "stop once the
+two-sided CI half-width is at most ``half_width`` at the given
+``confidence``, after at least ``min_trials`` and at most ``max_trials``
+trials" — and :func:`sequential_estimate` drives any batched success counter
+to that target on a deterministic doubling schedule.
+
+A fixed budget is one case of the same rule: :meth:`PrecisionTarget.fixed`
+has no half-width and ``min_trials == max_trials == trials``, so
+:func:`sequential_estimate` makes exactly one ``draw(trials)`` call.  Every
+estimator therefore runs one loop, whether or not the caller asked for a
+precision; ``precision=None`` selects the fixed target.
 
 Exactness contract
 ------------------
@@ -14,10 +20,8 @@ The engine's trial streams are **chunk-invariant by construction** (each
 node draws from its own sequential generator; exact mode derives every trial
 from its own master seed), so the batch schedule never changes the sampled
 values — only *how many* trials are looked at.  Consequently an adaptive run
-that stops after ``k`` trials reports exactly the estimate a fixed ``k``-
-trial run would have reported, and with no target at all the estimators run
-their historical fixed-trial path untouched (``precision=None`` is
-bit-identical to the pre-stats layer).
+that stops after ``k`` trials reports exactly the estimate the fixed
+``k``-trial target reports.
 
 Peeking bias, stated honestly: stopping at the first batch whose interval is
 narrow enough is optional stopping, so the reported CI's coverage is the
@@ -55,6 +59,8 @@ class PrecisionTarget:
     ----------
     half_width:
         Stop once the CI half-width is at most this (e.g. ``0.01`` for ±1%).
+        ``None`` makes the target a fixed budget (see :meth:`fixed`): it
+        never stops early, and ``min_trials`` must equal ``max_trials``.
     confidence:
         Two-sided confidence level of the interval (default 95%).
     min_trials:
@@ -68,14 +74,17 @@ class PrecisionTarget:
         ``"wilson"`` (default) or ``"hoeffding"``.
     """
 
-    half_width: float
+    half_width: Optional[float]
     confidence: float = 0.95
     min_trials: int = 100
     max_trials: Optional[int] = None
     method: str = "wilson"
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.half_width < 0.5:
+        if self.half_width is None:
+            if self.max_trials != self.min_trials:
+                raise ValueError("a fixed budget (no half_width) needs max_trials == min_trials")
+        elif not 0.0 < self.half_width < 0.5:
             raise ValueError("half_width must lie strictly inside (0, 0.5)")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError("confidence must lie strictly inside (0, 1)")
@@ -87,6 +96,32 @@ class PrecisionTarget:
             raise ValueError(f"unknown interval method {self.method!r}; expected {_METHODS}")
 
     # ------------------------------------------------------------------ #
+    @classmethod
+    def fixed(cls, trials: int, confidence: float = 0.95) -> "PrecisionTarget":
+        """The fixed budget of exactly ``trials`` trials, reported with an
+        interval at ``confidence``."""
+        if trials < 1:
+            raise ValueError("trials must be positive")
+        return cls(half_width=None, confidence=confidence, min_trials=trials, max_trials=trials)
+
+    @classmethod
+    def for_budget(
+        cls,
+        precision: Union["PrecisionTarget", float, None],
+        trials: int,
+        confidence: float = 0.95,
+    ) -> "PrecisionTarget":
+        """The stopping rule of one estimator call: the ``precision`` target
+        capped at ``trials`` (see :meth:`coerce`), or without one the fixed
+        budget of ``trials`` trials at ``confidence``."""
+        target = cls.coerce(precision, default_cap=trials)
+        return cls.fixed(trials, confidence=confidence) if target is None else target
+
+    @property
+    def is_fixed(self) -> bool:
+        """Whether this target is a fixed budget (no half-width to meet)."""
+        return self.half_width is None
+
     @classmethod
     def coerce(
         cls,
@@ -128,7 +163,7 @@ class PrecisionTarget:
 
     def satisfied(self, successes: int, trials: int) -> bool:
         """Whether the stopping criterion holds at these counts."""
-        if trials < self.min_trials:
+        if self.is_fixed or trials < self.min_trials:
             return False
         return self.interval(successes, trials).half_width <= self.half_width
 
@@ -141,7 +176,9 @@ class ProbabilityEstimate:
     ``deterministic`` estimates come from the engine's structural constant
     analysis (every vote/output program constant): the probability is exact,
     the interval degenerate, and ``trials`` records the single derivation
-    rather than a Monte-Carlo budget.
+    rather than a Monte-Carlo budget.  The engine derives them only for
+    targets with a half-width; a fixed budget reports its trials and a
+    sampled interval even for a constant outcome.
     """
 
     successes: int
@@ -195,7 +232,7 @@ def sequential_estimate(
     chunk-invariant stream and return how many succeeded.  The schedule is
     deterministic — ``min_trials`` first, then the total doubles each round,
     truncated at ``max_trials`` — so for a fixed stream, the stopping trial
-    count is a pure function of the data.
+    count is a pure function of the data.  A fixed target draws once.
     """
     recorder = get_recorder()
     accumulator = BernoulliAccumulator()

@@ -75,6 +75,14 @@ class TestSizeAwareSlackDecider:
         measured = decider.acceptance_probability(configuration, trials=1500, seed=2)
         assert measured == pytest.approx(decider.theoretical_acceptance(configuration), abs=0.05)
 
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_non_positive_trials_return_the_closed_form(self, trials):
+        decider = SizeAwareSlackDecider(ProperColoring(3), eps=0.2)
+        configuration = cycle_coloring_with_conflicts(30, 2)
+        assert decider.acceptance_probability(
+            configuration, trials=trials
+        ) == decider.theoretical_acceptance(configuration)
+
     def test_member_accept_and_non_member_reject_majorities(self):
         eps = 0.2
         decider = SizeAwareSlackDecider(ProperColoring(3), eps=eps)

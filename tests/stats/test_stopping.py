@@ -1,10 +1,8 @@
 """Tests for the sequential-stopping layer and the engine trial streams.
 
 The exactness contract under test: adaptive runs consume *prefixes* of the
-very same chunk-invariant streams the fixed-trial estimators consume, so a
-run stopping after ``k`` trials reports exactly the fixed ``k``-trial
-estimate, and ``precision=None`` leaves every estimator bit-identical to its
-historical behaviour.
+very same chunk-invariant streams a fixed budget consumes, so a run stopping
+after ``k`` trials reports exactly the fixed ``k``-trial estimate.
 """
 
 from __future__ import annotations
@@ -12,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.algorithms.coloring.random_coloring import RandomColoringConstructor
 from repro.core.decision import (
     AmplifiedResilientDecider,
     RandomizedDecider,
@@ -19,15 +18,23 @@ from repro.core.decision import (
     estimate_guarantee,
 )
 from repro.core.lcl import ProperColoring
-from repro.core.relaxations import f_resilient
+from repro.core.relaxations import eps_slack, f_resilient
+from repro.engine.adapters import engine_success_estimate
 from repro.engine.compiler import compile_decision
+from repro.engine.construct import adaptive_far_acceptance, adaptive_success_estimate
 from repro.engine.executor import (
     AcceptStream,
     accept_vector,
-    adaptive_acceptance,
     deterministic_accept_value,
+    vote_matrix,
 )
-from repro.harness.experiments import _cycle_coloring_with_bad_balls
+from repro.engine.fusion import FusionContext, fusion_scope
+from repro.graphs.families import cycle_network
+from repro.harness.experiments import (
+    _cycle_coloring_with_bad_balls,
+    _toy_faulty_constructor,
+    _toy_noisy_decider,
+)
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
 
 
@@ -134,6 +141,18 @@ class TestAcceptStream:
             np.concatenate([stream.sample(150), stream.sample(150)]), fixed
         )
 
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_vote_batches_equal_one_vote_matrix(self, mode):
+        decider = AmplifiedResilientDecider(ProperColoring(3), f=4, repetitions=3)
+        compiled = compile_decision(decider, _config())
+        fixed = vote_matrix(compiled, 300, seed=5, mode=mode, max_bytes=256)
+        stream = AcceptStream(compiled, seed=5, mode=mode)
+        batches = [stream.votes(count) for count in (120, 180)]
+        assert np.array_equal(np.concatenate(batches), fixed)
+        assert np.array_equal(
+            fixed.all(axis=1), accept_vector(compiled, 300, seed=5, mode=mode)
+        )
+
     def test_count_validated(self):
         compiled = compile_decision(ResilientDecider(ProperColoring(3), f=2), _config())
         with pytest.raises(ValueError):
@@ -150,23 +169,36 @@ class TestAcceptStream:
         )
 
 
-class TestAdaptiveAcceptance:
+class TestEngineSuccessEstimate:
     @pytest.mark.parametrize("mode", ["exact", "fast"])
     def test_adaptive_stop_equals_fixed_prefix(self, mode):
         decider = ResilientDecider(ProperColoring(3), f=4)
-        compiled = compile_decision(decider, _config())
+        configuration = _config()
         target = PrecisionTarget(half_width=0.04, min_trials=100, max_trials=5_000)
-        estimate = adaptive_acceptance(compiled, target, seed=3, mode=mode)
+        estimate = engine_success_estimate(
+            decider, configuration, target, seed_base=3, salt=decider.name, mode=mode
+        )
+        compiled = compile_decision(decider, configuration)
         fixed = accept_vector(compiled, estimate.trials, seed=3, mode=mode)
         assert estimate.successes == int(fixed.sum())
         assert estimate.half_width <= 0.04
         assert 100 <= estimate.trials < 5_000
 
-    def test_deterministic_decision_skips_sampling(self):
+    @pytest.mark.parametrize("member", [True, False])
+    def test_deterministic_decision_skips_sampling(self, member):
+        decider = ResilientDecider(ProperColoring(3), f=1)
         proper = _cycle_coloring_with_bad_balls(30, 0)
-        compiled = compile_decision(ResilientDecider(ProperColoring(3), f=1), proper)
-        estimate = adaptive_acceptance(compiled, PrecisionTarget(half_width=0.01))
-        assert estimate.deterministic and estimate.trials == 1 and estimate.estimate == 1.0
+        estimate = engine_success_estimate(
+            decider,
+            proper,
+            PrecisionTarget(half_width=0.01),
+            seed_base=0,
+            salt=decider.name,
+            mode="fast",
+            member=member,
+        )
+        assert estimate.deterministic and estimate.trials == 1
+        assert estimate.estimate == (1.0 if member else 0.0)
 
 
 class TestDeciderPrecisionThreading:
@@ -252,18 +284,72 @@ class TestDeciderPrecisionThreading:
         )
         assert adaptive.trials_used[0] == 1  # structurally deterministic row
         assert all(trials <= 400 for trials in adaptive.trials_used.values())
-        # Rates are prefix rates of the same streams: re-count the successes
-        # at the realized trial count with the fixed-budget counter (same
-        # per-index salt) and compare.
-        from repro.engine.adapters import engine_success_counts
-
-        for index, configuration in enumerate(configurations):
+        # Rates are prefix rates of the same streams: re-run the reference
+        # oracle (engine="off", same per-index salts) at each realized trial
+        # count and compare.
+        for index, trials in adaptive.trials_used.items():
             member, rate, _hw = adaptive.per_configuration[index]
-            trials = adaptive.trials_used[index]
             if trials == 1:
                 assert rate == 1.0
                 continue
-            successes = engine_success_counts(
-                decider, configuration, member, trials, 2, index, "exact"
+            oracle = estimate_guarantee(
+                decider, language, configurations, trials=trials, seed=2, engine="off"
             )
-            assert successes / trials == rate
+            assert oracle.per_configuration[index][:2] == (member, rate)
+
+
+class TestFusedStreams:
+    """The construction-side streams read a fused sweep's shared memo batch
+    by batch; when the memo stops retaining a growing matrix (its byte
+    bound), the stream catches up to the batch offset.  Either way the
+    estimate equals the stand-alone run."""
+
+    @staticmethod
+    def _success(mode, target):
+        return adaptive_success_estimate(
+            RandomColoringConstructor(3),
+            eps_slack(ProperColoring(3), 0.6),
+            cycle_network(30),
+            target,
+            seed_base=7,
+            salt="fused-stream",
+            mode=mode,
+        )
+
+    @staticmethod
+    def _far(mode, target):
+        network = cycle_network(30)
+        return adaptive_far_acceptance(
+            _toy_faulty_constructor(0.02),
+            _toy_noisy_decider(0.8),
+            network,
+            network.nodes()[0],
+            0,
+            target,
+            seed_base=7,
+            construct_salt="fused-construct",
+            decide_salt="fused-decide",
+            mode=mode,
+        )
+
+    # 40 trials x 30 nodes x 4 bytes = 4800 bytes fit under 6000; the
+    # doubled request (80 trials) and the fixed 150 trials no longer do.
+    @pytest.mark.parametrize(
+        "target",
+        [
+            PrecisionTarget(half_width=0.01, min_trials=40, max_trials=320),
+            PrecisionTarget.fixed(150),
+        ],
+        ids=["precision", "fixed"],
+    )
+    @pytest.mark.parametrize("max_bytes", [None, 6_000])
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    @pytest.mark.parametrize("estimator", ["_success", "_far"])
+    def test_fused_stream_equals_the_stand_alone_run(self, estimator, mode, max_bytes, target):
+        run = getattr(self, estimator)
+        alone = run(mode, target)
+        with fusion_scope(FusionContext(max_bytes=max_bytes)) as context:
+            fused = run(mode, target)
+        assert fused == alone
+        bypassed = max_bytes is not None and target.is_fixed
+        assert (context.misses == 0) == bypassed
