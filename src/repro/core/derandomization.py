@@ -41,9 +41,8 @@ from repro.engine.adapters import engine_single_trial_votes, resolve_engine
 from repro.engine.compiler import ProgramCompilationError
 from repro.engine.construct import (
     ConstructionCompilationError,
-    adaptive_far_acceptance,
     batched_acceptance_and_membership,
-    batched_far_acceptance,
+    far_acceptance_counts,
     is_construction_compilable,
 )
 from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimate
@@ -383,13 +382,12 @@ def far_acceptance_estimate(
     construction_mode = _construction_mode(engine, constructor)
     if construction_mode != "off":
         try:
-            batched = adaptive_far_acceptance(
+            counts = far_acceptance_counts(
                 constructor,
                 decider,
                 network,
-                node,
+                [node],
                 distance,
-                target,
                 seed_base=seed * 104_729,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
@@ -398,9 +396,9 @@ def far_acceptance_estimate(
         except ConstructionCompilationError:
             if engine != "auto":
                 raise
-            batched = None
-        if batched is not None:
-            return batched
+            counts = None
+        if counts is not None:
+            return sequential_estimate(target, lambda count: int(counts(count)[0]))
     state = {"offset": 0, "mode": mode}
 
     def draw(count: int) -> int:
@@ -442,7 +440,7 @@ def choose_anchor(
 
     The constructor's (and decider's) coins do not depend on the candidate —
     every candidate is estimated at the same seed and salts — so on the
-    batched path **one** construction/vote matrix is shared by all
+    batched path **one** batch of ``trials`` vote rows is shared by all
     candidates, each reading its own far-node columns off the same votes;
     this is bit-identical to the per-candidate loop, which replays the same
     tape streams once per candidate.
@@ -456,13 +454,12 @@ def choose_anchor(
     probabilities: Optional[dict] = None
     if construction_mode != "off":
         try:
-            probabilities = batched_far_acceptance(
+            counts = far_acceptance_counts(
                 constructor,
                 decider,
                 network,
                 candidates,
                 distance,
-                trials,
                 seed_base=seed * 104_729,
                 construct_salt="far/construct",
                 decide_salt="far/decide",
@@ -471,6 +468,11 @@ def choose_anchor(
         except ConstructionCompilationError:
             if engine != "auto":
                 raise
+            counts = None
+        if counts is not None:
+            probabilities = {
+                node: int(count) / trials for node, count in zip(candidates, counts(trials))
+            }
     if probabilities is None:
         probabilities = {
             node: far_acceptance_probability(

@@ -100,13 +100,7 @@ def engine_success_estimate(
     constant = deterministic_accept_value(compiled)
     if constant is not None and not target.is_fixed:
         return ProbabilityEstimate.exact(constant == member, confidence=target.confidence)
-    stream = AcceptStream(
-        compiled,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-    )
+    stream = AcceptStream(compiled, seed=seed_base, mode=mode, salt=salt)
 
     def draw(count: int) -> int:
         accepted = int(np.count_nonzero(stream.sample(count)))

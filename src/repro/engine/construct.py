@@ -20,8 +20,8 @@ that per-trial Python out:
   node's ball, interns the finite output alphabet, and freezes the per-node
   programs into NumPy form; :func:`construction_matrix` then produces the
   ``trials × nodes`` matrix of output codes in one pass — **exact** mode
-  replaying the per-trial ``TapeFactory(trial_seed(t), salt)`` streams bit
-  for bit (draw *k* of trial *t* = tape draw *k* of that trial's factory),
+  replaying the per-trial ``TapeFactory(seed + t, salt)`` streams bit for
+  bit (draw *k* of trial *t* = tape draw *k* of that trial's factory),
   **fast** mode fully vectorized from per-node generators (chunk-invariant,
   working set bounded by ``max_bytes`` exactly like the decision executor).
 * :func:`compile_membership` lowers language membership to array form over
@@ -84,6 +84,7 @@ from repro.stats import PrecisionTarget, ProbabilityEstimate, sequential_estimat
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.decision import Decider
     from repro.core.languages import DistributedLanguage
+    from repro.engine.fusion import FusionContext
     from repro.local.network import Network
 
 __all__ = [
@@ -111,10 +112,9 @@ __all__ = [
     "compile_fused_decision",
     "batched_bad_counts",
     "batched_acceptance_and_membership",
-    "batched_far_acceptance",
+    "far_acceptance_counts",
     "ConstructionStream",
     "adaptive_success_estimate",
-    "adaptive_far_acceptance",
 ]
 
 #: Hard cap on the size of a compiled construction's output alphabet (guards
@@ -506,14 +506,13 @@ def construction_matrix(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
     """The ``trials × nodes`` matrix of output codes.
 
     ``exact`` mode: for trial ``t`` the ``k``-th draw consumed by node ``v``
-    is the ``k``-th draw of ``TapeFactory(trial_seed(t), salt).tape_for(v)``
+    is the ``k``-th draw of ``TapeFactory(seed + t, salt).tape_for(v)``
     — bit-for-bit the stream the reference
     ``constructor.configuration(network, tape_factory=...)`` loop consumes.
     ``fast`` mode: per-node generators derived from ``(seed, salt, node
@@ -524,15 +523,8 @@ def construction_matrix(
     ``sample(trials)`` on a fresh stream): there is exactly one sampling
     implementation.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     return ConstructionStream(
-        compiled,
-        seed=seed,
-        mode=mode,
-        trial_seed=trial_seed,
-        salt=salt,
-        max_bytes=max_bytes,
+        compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     ).sample(trials)
 
 
@@ -684,90 +676,84 @@ class FusedDecision:
     decider_name: str
     compiled: CompiledConstruction
 
-    def fast_vote_stream(
-        self, seed: int, salt: object, max_bytes: Optional[int] = None
+    def vote_stream(
+        self,
+        seed_base: int,
+        salt: object,
+        mode: str,
+        max_bytes: Optional[int] = None,
     ) -> Callable[[np.ndarray], np.ndarray]:
-        """A resumable fast-mode vote sampler over per-node generators.
+        """The resumable decide side of a fused run, in either mode.
 
-        The returned callable maps a ``(count, nodes)`` code chunk to its
-        vote chunk; generators persist across calls, so concatenating the
-        votes of successive chunks is bit-identical to one
-        :meth:`vote_matrix_fast` call on the concatenated codes (the
-        chunk-invariance the adaptive estimators rely on).  One uniform per
-        (trial, node) is drawn regardless of the realized value's constancy
-        — ``u < 1.0`` always holds and ``u < 0.0`` never does, so constants
-        come out right and the stream stays independent of the sampled
-        outputs.
+        The returned callable maps the **next** ``(count, nodes)`` code rows
+        to their vote rows; the votes of successive calls concatenate to the
+        votes of one call on the concatenated rows.
+
+        * exact mode walks trial ``t``'s reference decide tapes at master
+          seed ``seed_base + t`` (``t`` counts the rows of every call so
+          far) — bit-identical to ``decider.decide(configuration,
+          TapeFactory(seed_base + t, salt))`` on the decoded row; only nodes
+          whose realized value draws open a tape;
+        * fast mode holds per-node generators open across calls and draws
+          one uniform per (trial, node) regardless of the realized value's
+          constancy — ``u < 1.0`` always holds and ``u < 0.0`` never does,
+          so constants come out right and the stream stays independent of
+          the sampled outputs.
+
+        Rows are processed in trial blocks whose uniforms stay below
+        ``max_bytes``.
         """
+        if mode not in ("fast", "exact"):
+            raise ValueError(f"unknown engine mode {mode!r}; expected 'fast' or 'exact'")
         max_bytes = _resolve_max_bytes(max_bytes)
+        identities = self.compiled.identities
         n = self.compiled.n_nodes
         rows = np.arange(n)
-        generators = [
-            derive_generator(
-                int(seed),
-                "construct-fast-decide",
-                salt,
-                self.decider_name,
-                int(self.compiled.identities[position]),
-            )
-            for position in range(n)
-        ]
+        trial_block = max(1, max_bytes // (8 * max(n, 1)))
+        generators: List[np.random.Generator] = []  # fast mode, opened on first use
+        offset = 0
 
-        def sample(codes: np.ndarray) -> np.ndarray:
-            trials = codes.shape[0]
-            votes = np.empty((trials, n), dtype=bool)
-            trial_block = max(1, max_bytes // (8 * max(n, 1)))
-            for start in range(0, trials, trial_block):
-                stop = min(trials, start + trial_block)
-                uniforms = np.empty((stop - start, n), dtype=np.float64)
-                for position, generator in enumerate(generators):
-                    uniforms[:, position] = generator.random(stop - start)
-                chunk = codes[start:stop]
-                thresholds = self.thresholds[rows[None, :], chunk]
-                takes_true = uniforms < thresholds
-                votes[start:stop] = np.where(
-                    takes_true,
-                    self.on_true[rows[None, :], chunk],
-                    self.on_false[rows[None, :], chunk],
+        def uniforms_for(codes: np.ndarray, first_trial: int) -> np.ndarray:
+            if mode == "exact":
+                uniforms = np.zeros(codes.shape, dtype=np.float64)
+                for trial, position in zip(*np.nonzero(self.draws[rows, codes])):
+                    uniforms[trial, position] = derive_generator(
+                        int(seed_base) + first_trial + int(trial),
+                        salt,
+                        int(identities[position]),
+                    ).random()
+                return uniforms
+            if not generators:
+                generators.extend(
+                    derive_generator(
+                        int(seed_base),
+                        "construct-fast-decide",
+                        salt,
+                        self.decider_name,
+                        int(identity),
+                    )
+                    for identity in identities
                 )
+            uniforms = np.empty(codes.shape, dtype=np.float64)
+            for position, generator in enumerate(generators):
+                uniforms[:, position] = generator.random(codes.shape[0])
+            return uniforms
+
+        def votes_of(codes: np.ndarray) -> np.ndarray:
+            nonlocal offset
+            count = codes.shape[0]
+            votes = np.empty((count, n), dtype=bool)
+            for lo in range(0, count, trial_block):
+                hi = min(count, lo + trial_block)
+                chunk = codes[lo:hi]
+                takes_true = uniforms_for(chunk, offset + lo) < self.thresholds[rows, chunk]
+                votes[lo:hi] = np.where(
+                    takes_true, self.on_true[rows, chunk], self.on_false[rows, chunk]
+                )
+            offset += count
             return votes
 
-        return sample
-
-    def vote_matrix_fast(
-        self,
-        codes: np.ndarray,
-        seed: int,
-        salt: object,
-        max_bytes: Optional[int] = None,
-    ) -> np.ndarray:
-        """The ``trials × nodes`` vote matrix from per-node fast generators
-        (one-shot form of :meth:`fast_vote_stream`)."""
-        return self.fast_vote_stream(seed, salt, max_bytes=max_bytes)(codes)
-
-    def vote_row_exact(
-        self, code_row: np.ndarray, master_seed: int, salt: object
-    ) -> np.ndarray:
-        """One trial's votes under the reference decide tape streams —
-        bit-identical to ``decider.decide(configuration,
-        TapeFactory(master_seed, salt))`` for the decoded configuration."""
-        n = len(code_row)
-        votes = np.empty(n, dtype=bool)
-        for position in range(n):
-            code = int(code_row[position])
-            if self.draws[position, code]:
-                generator = derive_generator(
-                    int(master_seed), salt, int(self.compiled.identities[position])
-                )
-                takes_true = float(generator.random()) < self.thresholds[position, code]
-                votes[position] = (
-                    self.on_true[position, code]
-                    if takes_true
-                    else self.on_false[position, code]
-                )
-            else:
-                votes[position] = self.on_true[position, code]
-        return votes
+        return votes_of
 
 
 def compile_fused_decision(
@@ -817,10 +803,11 @@ def compile_fused_decision(
     )
 
 
+
 # --------------------------------------------------------------------------- #
 # Batched counterparts of the derandomization estimators
 # --------------------------------------------------------------------------- #
-def _active_fusion():
+def _active_fusion() -> Optional["FusionContext"]:
     """The ambient :class:`repro.engine.fusion.FusionContext`, if any.
 
     Lazy import: :mod:`repro.engine.fusion` imports this module, and the
@@ -829,72 +816,6 @@ def _active_fusion():
     from repro.engine.fusion import active_fusion
 
     return active_fusion()
-
-
-def _shared_codes(
-    compiled: CompiledConstruction,
-    trials: int,
-    seed_base: int,
-    salt: object,
-    mode: str,
-    max_bytes: Optional[int],
-) -> np.ndarray:
-    """The trial matrix of one batched estimator call: served from the
-    ambient fusion context when one is installed (bit-identical by the
-    context's exactness contract), one-shot otherwise."""
-    context = _active_fusion()
-    if context is not None:
-        codes = context.codes_for(compiled, trials, seed_base, salt, mode)
-        if codes is not None:
-            return codes
-    return construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
-
-
-def batched_bad_counts(
-    constructor: object,
-    language: "DistributedLanguage",
-    network: "Network",
-    trials: int,
-    seed_base: int,
-    salt: object,
-    mode: str,
-    max_bytes: Optional[int] = None,
-) -> Optional[np.ndarray]:
-    """Per-trial bad-ball counts of ``language`` over freshly constructed
-    configurations — the engine counterpart of a ``fraction_bad`` probe loop
-    (count ``t`` divided by the node count is trial ``t``'s bad fraction).
-
-    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit.
-    Returns ``None`` when the language's membership cannot be lowered
-    (callers keep their reference loop).  Inside a fused sweep group the
-    matrix and the counts are served from the shared context."""
-    compiled = compile_construction(constructor, network)
-    context = _active_fusion()
-    if context is not None:
-        counts = context.bad_counts_for(compiled, language, trials, seed_base, salt, mode)
-        if counts is not None:
-            return counts
-    membership = compile_membership(language, compiled, max_bytes)
-    if membership is None:
-        return None
-    codes = construction_matrix(
-        compiled,
-        trials,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
-    return membership.bad_counts(codes)
 
 
 def _member_vector(
@@ -920,65 +841,13 @@ def _member_vector(
     )
 
 
-def batched_acceptance_and_membership(
-    constructor: object,
-    decider: "Decider",
-    language: "DistributedLanguage",
-    network: "Network",
-    trials: int,
-    seed_base: int,
-    construct_salt: object,
-    decide_salt: object,
-    mode: str,
-    max_bytes: Optional[int] = None,
-) -> Optional[Tuple[float, float]]:
-    """Fused engine counterpart of the amplification estimator
-    :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
-
-    Returns ``(acceptance, membership)`` or ``None`` when decider fusion is
-    unavailable (the caller then keeps the per-trial decision loop).  Exact
-    mode replays the reference seeding ``TapeFactory(seed_base + trial,
-    construct_salt/decide_salt)`` bit for bit.
-    """
-    compiled = compile_construction(constructor, network)
-    fused = compile_fused_decision(decider, compiled)
-    if fused is None:
-        return None
-    context = _active_fusion()
-    members = None
-    if context is not None:
-        members = context.member_vector_for(
-            compiled, language, trials, seed_base, construct_salt, mode
-        )
-    codes = _shared_codes(compiled, trials, seed_base, construct_salt, mode, max_bytes)
-    if members is None:
-        members = _member_vector(language, compiled, codes)
-    if mode == "exact":
-        accepted = np.fromiter(
-            (
-                bool(fused.vote_row_exact(codes[trial], seed_base + trial, decide_salt).all())
-                for trial in range(trials)
-            ),
-            dtype=bool,
-            count=trials,
-        )
-    else:
-        accepted = fused.vote_matrix_fast(
-            codes, seed_base, decide_salt, max_bytes=max_bytes
-        ).all(axis=1)
-    return (
-        float(np.count_nonzero(accepted)) / trials,
-        float(np.count_nonzero(members)) / trials,
-    )
-
-
 class ConstructionStream:
     """A resumable trial stream over a compiled construction.
 
     ``sample(count)`` returns the ``(count, nodes)`` code matrix of the
     **next** ``count`` trials; the concatenation of successive samples is
     bit-identical to one :func:`construction_matrix` call with the total
-    trial count (exact mode derives each trial from its own master seed;
+    trial count (exact mode runs trial ``t`` under master seed ``seed + t``;
     fast mode holds every node's generator open across batches).  This is
     the construction-side counterpart of
     :class:`repro.engine.executor.AcceptStream`.
@@ -989,7 +858,6 @@ class ConstructionStream:
         compiled: CompiledConstruction,
         seed: int = 0,
         mode: str = "fast",
-        trial_seed: Optional[Callable[[int], int]] = None,
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
@@ -998,12 +866,9 @@ class ConstructionStream:
         self.compiled = compiled
         self.mode = mode
         self._salt = compiled.constructor_name if salt is None else salt
-        if trial_seed is None:
-            trial_seed = lambda trial: seed + trial  # noqa: E731 - the legacy convention
-        self._trial_seed = trial_seed
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
-        self._seed = seed
+        self._seed = int(seed)
         self._generators: Optional[List[np.random.Generator]] = None  # opened on first use
 
     @property
@@ -1012,7 +877,7 @@ class ConstructionStream:
 
     def sample(self, count: int) -> np.ndarray:
         if count < 1:
-            raise ValueError("count must be positive")
+            raise ValueError("trials must be positive")
         compiled = self.compiled
         start = self._offset
         self._offset += count
@@ -1033,7 +898,7 @@ class ConstructionStream:
                 recorder.counter("engine.chunks")
                 programs = [compiled.program_of(position) for position in random_positions]
                 for trial in range(count):
-                    master = int(self._trial_seed(start + trial))
+                    master = self._seed + start + trial
                     for position, program in zip(random_positions, programs):
                         generator = derive_generator(
                             master, self._salt, int(compiled.identities[position])
@@ -1043,7 +908,7 @@ class ConstructionStream:
             if self._generators is None:
                 self._generators = [
                     derive_generator(
-                        int(self._seed),
+                        self._seed,
                         "construct-fast",
                         self._salt,
                         compiled.constructor_name,
@@ -1064,33 +929,70 @@ class ConstructionStream:
 
 def _trial_batches(
     stream: ConstructionStream,
-    fused: Optional[Callable[[int], Optional[np.ndarray]]],
-    derive: Callable[[np.ndarray], np.ndarray],
+    served: Callable[["FusionContext", int], Optional[np.ndarray]],
+    derive: Callable[[np.ndarray], np.ndarray] = lambda codes: codes,
 ) -> Callable[[int], np.ndarray]:
     """``batch(count)``: ``derive(codes)`` for the next ``count`` trials of
-    ``stream``'s trial sequence.
+    ``stream``'s trial sequence — the one reader every estimator below gets
+    its code rows from.
 
-    Inside a fused sweep group, ``fused(total)`` serves the first ``total``
-    rows from the shared memo and a batch is their ``[start:]`` slice — so a
-    fixed budget makes exactly the one memo request it always made, and an
+    Inside a fused sweep group, ``served(context, total)`` serves the first
+    ``total`` rows from the shared memo and a batch is their ``[start:]``
+    slice — so a fixed budget makes exactly one memo request, and an
     adaptive run grows the shared matrix.  The memo declines a request (and
     every larger one) by returning ``None``; the stream then catches up to
     the batch's offset and samples it.  Both sources are bit-identical by
     the memo's exactness contract.
     """
+    context = _active_fusion()
     offset = 0
 
     def batch(count: int) -> np.ndarray:
         nonlocal offset
         start, offset = offset, offset + count
-        served = fused(offset) if fused is not None else None
-        if served is not None:
-            return served[start:]
+        rows = served(context, offset) if context is not None else None
+        if rows is not None:
+            return rows[start:]
         if stream.trials_sampled < start:
             stream.sample(start - stream.trials_sampled)
         return derive(stream.sample(count))
 
     return batch
+
+
+def batched_bad_counts(
+    constructor: object,
+    language: "DistributedLanguage",
+    network: "Network",
+    trials: int,
+    seed_base: int,
+    salt: object,
+    mode: str,
+    max_bytes: Optional[int] = None,
+) -> Optional[np.ndarray]:
+    """Per-trial bad-ball counts of ``language`` over freshly constructed
+    configurations — the engine counterpart of a ``fraction_bad`` probe loop
+    (count ``t`` divided by the node count is trial ``t``'s bad fraction).
+
+    Exact mode replays ``TapeFactory(seed_base + trial, salt)`` bit for bit.
+    Returns ``None`` when the language's membership cannot be lowered
+    (callers keep their reference loop).  Inside a fused sweep group the
+    matrix and the counts are served from the shared context."""
+    compiled = compile_construction(constructor, network)
+    membership = compile_membership(language, compiled, max_bytes)
+    if membership is None:
+        return None
+    stream = ConstructionStream(
+        compiled, seed=seed_base, mode=mode, salt=salt, max_bytes=max_bytes
+    )
+    counts = _trial_batches(
+        stream,
+        lambda context, total: context.bad_counts_for(
+            compiled, language, total, seed_base, salt, mode
+        ),
+        membership.bad_counts,
+    )
+    return counts(trials)
 
 
 def adaptive_success_estimate(
@@ -1117,23 +1019,15 @@ def adaptive_success_estimate(
     return an exact degenerate estimate.
     """
     compiled = compile_construction(constructor, network)
-    stream = ConstructionStream(
-        compiled,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=salt,
-        max_bytes=max_bytes,
-    )
     if len(compiled.random_index) == 0 and not target.is_fixed:
-        member = bool(_member_vector(language, compiled, stream.sample(1))[0])
+        member = bool(_member_vector(language, compiled, compiled.constant_codes[None, :])[0])
         return ProbabilityEstimate.exact(member, confidence=target.confidence)
-    context = _active_fusion()
+    stream = ConstructionStream(
+        compiled, seed=seed_base, mode=mode, salt=salt, max_bytes=max_bytes
+    )
     members = _trial_batches(
         stream,
-        None
-        if context is None
-        else lambda total: context.member_vector_for(
+        lambda context, total: context.member_vector_for(
             compiled, language, total, seed_base, salt, mode
         ),
         lambda codes: _member_vector(language, compiled, codes),
@@ -1141,121 +1035,136 @@ def adaptive_success_estimate(
     return sequential_estimate(target, lambda count: int(np.count_nonzero(members(count))))
 
 
-def adaptive_far_acceptance(
+def _fused_batches(
     constructor: object,
     decider: "Decider",
     network: "Network",
-    node: Hashable,
-    distance: int,
-    target: PrecisionTarget,
     seed_base: int,
     construct_salt: object,
     decide_salt: object,
     mode: str,
-    max_bytes: Optional[int] = None,
-) -> Optional[ProbabilityEstimate]:
-    """Engine counterpart of the reference loop of
-    :func:`~repro.core.derandomization.far_acceptance_estimate` for a single
-    anchor: fused construct→decide batches until ``target`` is met (one
-    batch for a fixed budget).
-
-    Returns ``None`` when decider fusion is unavailable (callers fall back
-    to the per-trial reference loop, which handles every decider).  The
-    seeding and streams match :func:`batched_far_acceptance` bit for bit,
-    so stopping after ``k`` trials reports the ``k``-trial estimate.
-    """
+    max_bytes: Optional[int],
+) -> Optional[Tuple[CompiledConstruction, Callable[[int], Tuple[np.ndarray, np.ndarray]]]]:
+    """``(compiled, batch)``, where ``batch(count)`` returns the ``(codes,
+    votes)`` rows of the next ``count`` construct→decide trials: code rows
+    from :func:`_trial_batches`, votes from :meth:`FusedDecision.vote_stream`.
+    ``None`` when decider fusion is unavailable.  Nothing is sampled or
+    requested from a fusion memo before the first batch."""
     compiled = compile_construction(constructor, network)
     fused = compile_fused_decision(decider, compiled)
     if fused is None:
         return None
-    distances = network.distances_from(node)
-    far = np.array(
-        [distances.get(other, np.inf) > distance for other in compiled.nodes],
-        dtype=bool,
-    )
     stream = ConstructionStream(
-        compiled,
-        seed=seed_base,
-        mode=mode,
-        trial_seed=lambda trial: seed_base + trial,
-        salt=construct_salt,
-        max_bytes=max_bytes,
+        compiled, seed=seed_base, mode=mode, salt=construct_salt, max_bytes=max_bytes
     )
-    context = _active_fusion()
     codes_of = _trial_batches(
         stream,
-        None
-        if context is None
-        else lambda total: context.codes_for(compiled, total, seed_base, construct_salt, mode),
-        lambda codes: codes,
+        lambda context, total: context.codes_for(
+            compiled, total, seed_base, construct_salt, mode
+        ),
     )
-    fast_votes = (
-        fused.fast_vote_stream(seed_base, decide_salt, max_bytes=max_bytes)
-        if mode == "fast"
-        else None
-    )
-    offset = 0
+    votes_of = fused.vote_stream(seed_base, decide_salt, mode, max_bytes)
 
-    def draw(count: int) -> int:
-        nonlocal offset
-        start, offset = offset, offset + count
+    def batch(count: int) -> Tuple[np.ndarray, np.ndarray]:
         codes = codes_of(count)
-        if fast_votes is not None:
-            votes = fast_votes(codes)
-        else:
-            votes = np.empty((count, compiled.n_nodes), dtype=bool)
-            for trial in range(count):
-                votes[trial] = fused.vote_row_exact(
-                    codes[trial], seed_base + start + trial, decide_salt
-                )
-        accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(count, bool)
-        return int(np.count_nonzero(accepted_far))
+        return codes, votes_of(codes)
 
-    return sequential_estimate(target, draw)
+    return compiled, batch
 
 
-def batched_far_acceptance(
+def batched_acceptance_and_membership(
     constructor: object,
     decider: "Decider",
+    language: "DistributedLanguage",
     network: "Network",
-    candidates: Sequence[Hashable],
-    distance: int,
     trials: int,
     seed_base: int,
     construct_salt: object,
     decide_salt: object,
     mode: str,
     max_bytes: Optional[int] = None,
-) -> Optional[Dict[Hashable, float]]:
-    """Batched far-acceptance probabilities for *all* candidate anchors from
-    **one** construction pass.
+) -> Optional[Tuple[float, float]]:
+    """Fused engine counterpart of the amplification estimator
+    :func:`repro.core.derandomization._estimate_acceptance_and_membership`.
 
-    The constructor's coins do not depend on the candidate (the reference
-    :func:`~repro.core.derandomization.far_acceptance_probability` loop uses
-    the same seed and salt for every candidate), so one ``trials × nodes``
-    vote matrix serves every candidate: per candidate only the "far" node
-    mask changes.  Returns ``None`` when decider fusion is unavailable.
+    Returns ``(acceptance, membership)`` over one batch of ``trials``
+    construct→decide trials, or ``None`` when decider fusion is unavailable
+    (the caller then keeps the per-trial decision loop).  Exact mode replays
+    the reference seeding ``TapeFactory(seed_base + trial,
+    construct_salt/decide_salt)`` bit for bit.  Inside a fused sweep group
+    the membership vector is requested from the shared context before the
+    code rows.
     """
-    compiled = compile_construction(constructor, network)
-    fused = compile_fused_decision(decider, compiled)
+    fused = _fused_batches(
+        constructor, decider, network, seed_base, construct_salt, decide_salt, mode, max_bytes
+    )
     if fused is None:
         return None
-    codes = _shared_codes(compiled, trials, seed_base, construct_salt, mode, max_bytes)
-    if mode == "exact":
-        votes = np.empty((trials, compiled.n_nodes), dtype=bool)
-        for trial in range(trials):
-            votes[trial] = fused.vote_row_exact(
-                codes[trial], seed_base + trial, decide_salt
-            )
-    else:
-        votes = fused.vote_matrix_fast(codes, seed_base, decide_salt, max_bytes=max_bytes)
-    results: Dict[Hashable, float] = {}
-    for candidate in candidates:
-        distances = network.distances_from(candidate)
-        far = np.array(
-            [distances.get(node, np.inf) > distance for node in compiled.nodes],
-            dtype=bool,
+    compiled, batch = fused
+    context = _active_fusion()
+    members = None
+    if context is not None:
+        members = context.member_vector_for(
+            compiled, language, trials, seed_base, construct_salt, mode
         )
-        accepted_far = votes[:, far].all(axis=1) if far.any() else np.ones(trials, bool)
-        results[candidate] = float(np.count_nonzero(accepted_far)) / trials
-    return results
+    codes, votes = batch(trials)
+    if members is None:
+        members = _member_vector(language, compiled, codes)
+    return (
+        float(np.count_nonzero(votes.all(axis=1))) / trials,
+        float(np.count_nonzero(members)) / trials,
+    )
+
+
+def far_acceptance_counts(
+    constructor: object,
+    decider: "Decider",
+    network: "Network",
+    anchors: Sequence[Hashable],
+    distance: int,
+    seed_base: int,
+    construct_salt: object,
+    decide_salt: object,
+    mode: str,
+    max_bytes: Optional[int] = None,
+) -> Optional[Callable[[int], np.ndarray]]:
+    """Engine counterpart of the reference far-acceptance loop of
+    :func:`~repro.core.derandomization.far_acceptance_estimate`, for any
+    number of anchors at once.
+
+    Returns ``counts(count)``: per anchor, how many of the next ``count``
+    fused construct→decide trials accept far from it (every node at
+    distance greater than ``distance`` votes yes); or ``None`` when decider
+    fusion is unavailable (callers fall back to the per-trial reference
+    loop, which handles every decider).  The coins do not depend on the
+    anchor — the reference loop uses the same seed and salts for each — so
+    one stream of vote rows serves every anchor through its own far mask.
+    Exact mode replays ``TapeFactory(seed_base + trial,
+    construct_salt/decide_salt)`` bit for bit, and the counts of successive
+    batches add up to the counts of one batch, so a stop at ``k`` trials
+    reports the ``k``-trial estimate.
+    """
+    fused = _fused_batches(
+        constructor, decider, network, seed_base, construct_salt, decide_salt, mode, max_bytes
+    )
+    if fused is None:
+        return None
+    compiled, batch = fused
+    far_masks = []
+    for anchor in anchors:
+        distances = network.distances_from(anchor)
+        far_masks.append(
+            np.array(
+                [distances.get(node, np.inf) > distance for node in compiled.nodes],
+                dtype=bool,
+            )
+        )
+
+    def counts(count: int) -> np.ndarray:
+        _codes, votes = batch(count)
+        return np.array(
+            [np.count_nonzero(votes[:, far].all(axis=1)) for far in far_masks],
+            dtype=np.int64,
+        )
+
+    return counts

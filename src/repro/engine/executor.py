@@ -6,7 +6,19 @@ global AND; ``trials`` trials are evaluated as stacked ``trials × coins``
 comparisons against the program thresholds.  Two sampling modes are
 provided:
 
-``fast`` (default)
+``exact`` (what ``engine="auto"``, the default everywhere, runs)
+    Bit-for-bit reproduction of the reference path: for trial ``i`` of a
+    stream at ``seed`` the ``k``-th uniform consumed by node ``v``'s program
+    is the ``k``-th draw of the tape ``TapeFactory(seed + i,
+    salt).tape_for(identity(v))``, exactly the stream
+    :meth:`repro.core.decision.Decider.acceptance_estimate` and
+    :func:`repro.core.decision.estimate_guarantee` consume.  Only nodes
+    whose vote genuinely depends on draws ever read their tape (matching
+    the reference voting rules, which return early on deterministic balls),
+    so this mode still skips the per-trial tape construction for every
+    deterministic node — usually the overwhelming majority.
+
+``fast``
     Each coin-flipping node draws its uniform block from its own
     deterministically-derived :class:`numpy.random.Generator`.  The
     per-trial accept/reject stream differs from the legacy per-node-tape
@@ -16,17 +28,6 @@ provided:
     Per-node generators also make the stream independent of the chunking
     below: the same ``(seed, salt)`` yields the same accept vector for any
     ``max_bytes`` and any batch schedule.
-
-``exact``
-    Bit-for-bit reproduction of the reference path: for trial ``i`` the
-    ``k``-th uniform consumed by node ``v``'s program is the ``k``-th draw
-    of the tape ``TapeFactory(trial_seed(i), salt).tape_for(identity(v))``,
-    exactly the stream :meth:`repro.core.decision.Decider.acceptance_estimate`
-    and :func:`repro.core.decision.estimate_guarantee` consume.  Only nodes
-    whose vote genuinely depends on draws ever read their tape (matching
-    the reference voting rules, which return early on deterministic balls),
-    so this mode still skips the per-trial tape construction for every
-    deterministic node — usually the overwhelming majority.
 
 One sampler
 -----------
@@ -89,22 +90,6 @@ def _resolve_max_bytes(max_bytes: Optional[int]) -> int:
     return max_bytes
 
 
-def _resolve(
-    compiled: CompiledDecision,
-    mode: str,
-    seed: int,
-    trial_seed: Optional[Callable[[int], int]],
-    salt: Optional[object],
-):
-    if mode not in _MODES:
-        raise ValueError(f"unknown engine mode {mode!r}; expected one of {_MODES}")
-    if salt is None:
-        salt = compiled.decider_name
-    if trial_seed is None:
-        trial_seed = lambda trial: seed + trial  # noqa: E731 - the legacy convention
-    return salt, trial_seed
-
-
 # --------------------------------------------------------------------------- #
 # Fast mode: vectorized program evaluation
 # --------------------------------------------------------------------------- #
@@ -162,16 +147,17 @@ def _exact_walker(
 def _exact_accepts(
     compiled: CompiledDecision,
     trials: int,
-    trial_seed: Callable[[int], int],
+    first_seed: int,
     salt: object,
 ) -> np.ndarray:
-    """Per-trial global acceptance under the reference tape streams,
-    short-circuiting each trial at the first rejecting coin."""
+    """Per-trial global acceptance under the reference tape streams (trial
+    ``t`` at master seed ``first_seed + t``), short-circuiting each trial at
+    the first rejecting coin."""
     random_positions = compiled.random_index
     coins = [(int(position), compiled.program_of(position)) for position in random_positions]
     accepted = np.zeros(trials, dtype=bool)
     for trial in range(trials):
-        master = int(trial_seed(trial))
+        master = first_seed + trial
         for position, program in coins:
             if not program.walk(_exact_walker(compiled, position, master, salt)):
                 break
@@ -184,15 +170,16 @@ def _exact_votes(
     compiled: CompiledDecision,
     positions: np.ndarray,
     trials: int,
-    trial_seed: Callable[[int], int],
+    first_seed: int,
     salt: object,
 ) -> np.ndarray:
     """The ``trials × len(positions)`` vote matrix of the reference streams
-    (no short-circuit: every listed node is evaluated in every trial)."""
+    at master seeds ``first_seed + t`` (no short-circuit: every listed node
+    is evaluated in every trial)."""
     votes = np.empty((trials, len(positions)), dtype=bool)
     programs = [compiled.program_of(position) for position in positions]
     for trial in range(trials):
-        master = int(trial_seed(trial))
+        master = first_seed + trial
         for column, (position, program) in enumerate(zip(positions, programs)):
             votes[trial, column] = program.walk(
                 _exact_walker(compiled, position, master, salt)
@@ -230,9 +217,8 @@ class AcceptStream:
     the concatenation of successive batches is bit-identical to one batch
     with the total trial count, in both modes:
 
-    * exact mode derives every trial from its own master seed
-      (``trial_seed(t)``), so a batch starting at offset ``o`` simply walks
-      trials ``o .. o+count-1``;
+    * exact mode runs trial ``t`` under master seed ``seed + t``, so a batch
+      starting at offset ``o`` simply walks trials ``o .. o+count-1``;
     * fast mode holds every coin-flipping node's generator open across
       batches — each node's uniforms arrive in ``(trial, draw)`` order
       regardless of batching, and the trial axis is sliced so the uniform
@@ -249,14 +235,15 @@ class AcceptStream:
         compiled: CompiledDecision,
         seed: int = 0,
         mode: str = "fast",
-        trial_seed: Optional[Callable[[int], int]] = None,
         salt: Optional[object] = None,
         max_bytes: Optional[int] = None,
     ) -> None:
+        if mode not in _MODES:
+            raise ValueError(f"unknown engine mode {mode!r}; expected one of {_MODES}")
         self.compiled = compiled
         self.mode = mode
-        self._seed = seed
-        self._salt, self._trial_seed = _resolve(compiled, mode, seed, trial_seed, salt)
+        self._seed = int(seed)
+        self._salt = compiled.decider_name if salt is None else salt
         self._max_bytes = _resolve_max_bytes(max_bytes)
         self._offset = 0
         self._constant = deterministic_accept_value(compiled)
@@ -319,9 +306,6 @@ class AcceptStream:
                     uniforms[:, column, :] = generator.random((hi - lo, draws))
                 yield positions, lo, hi, _evaluate_program_block(program, uniforms)
 
-    def _shifted_seed(self, start: int) -> Callable[[int], int]:
-        return lambda trial: self._trial_seed(start + trial)
-
     def sample(self, count: int) -> np.ndarray:
         """The accept vector of the next ``count`` trials."""
         start = self._advance(count)
@@ -330,9 +314,7 @@ class AcceptStream:
         with self._span("sample", count, start):
             if self.mode == "exact":
                 get_recorder().counter("engine.chunks")
-                return _exact_accepts(
-                    self.compiled, count, self._shifted_seed(start), self._salt
-                )
+                return _exact_accepts(self.compiled, count, self._seed + start, self._salt)
             accepted = np.ones(count, dtype=bool)
             for _positions, lo, hi, votes in self._fast_blocks(count):
                 accepted[lo:hi] &= votes.all(axis=1)
@@ -350,7 +332,7 @@ class AcceptStream:
             if self.mode == "exact":
                 get_recorder().counter("engine.chunks")
                 votes[:, random_positions] = _exact_votes(
-                    compiled, random_positions, count, self._shifted_seed(start), self._salt
+                    compiled, random_positions, count, self._seed + start, self._salt
                 )
                 return votes
             for positions, lo, hi, block in self._fast_blocks(count):
@@ -363,7 +345,6 @@ def accept_vector(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -376,7 +357,7 @@ def accept_vector(
     docstring).
     """
     return AcceptStream(
-        compiled, seed=seed, mode=mode, trial_seed=trial_seed, salt=salt, max_bytes=max_bytes
+        compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     ).sample(trials)
 
 
@@ -385,7 +366,6 @@ def vote_matrix(
     trials: int,
     seed: int = 0,
     mode: str = "fast",
-    trial_seed: Optional[Callable[[int], int]] = None,
     salt: Optional[object] = None,
     max_bytes: Optional[int] = None,
 ) -> np.ndarray:
@@ -399,7 +379,7 @@ def vote_matrix(
     loops use for the Claim 4 far-acceptance events).
     """
     return AcceptStream(
-        compiled, seed=seed, mode=mode, trial_seed=trial_seed, salt=salt, max_bytes=max_bytes
+        compiled, seed=seed, mode=mode, salt=salt, max_bytes=max_bytes
     ).votes(trials)
 
 
@@ -419,10 +399,6 @@ def exact_single_trial_votes(
     if len(random_positions):
         votes = votes.copy()
         votes[random_positions] = _exact_votes(
-            compiled,
-            random_positions,
-            1,
-            trial_seed=lambda _trial: int(master_seed),
-            salt=salt,
+            compiled, random_positions, 1, int(master_seed), salt
         )[0]
     return votes

@@ -564,17 +564,16 @@ def experiment_e4_logstar_coloring(
             rounds_over_n=constructor.last_rounds / n,
         )
     # Shape: rounds grow by at most a small additive constant over a 4096x
-    # size increase — the log* signature.  The fitted growth shape is also
-    # reported; because the measured series moves by only 2–3 rounds overall,
-    # the least-squares fit cannot reliably distinguish log* from log (both
-    # are reported as slow growth), so the verdict only requires the fit to be
-    # no faster than logarithmic, on top of the additive-constant criterion.
-    from repro.analysis.growth import classify_growth, grows_no_faster_than
+    # size increase — the log* signature.  The fitted growth shape is only
+    # reported: the measured series moves by 0–3 rounds overall, so a
+    # least-squares fit over a series with two or three distinct levels can
+    # name any shape (a 7, 6, 6, 6, 7, 7, 7 run fits "sqrt") and cannot
+    # decide the claim.  The verdict rests on properness, the per-size
+    # Cole–Vishkin bound and the additive spread.
+    from repro.analysis.growth import classify_growth
 
     shape = classify_growth(list(sizes), rounds_by_size) if len(sizes) >= 5 else "n/a"
     ok = ok and (rounds_by_size[-1] - rounds_by_size[0]) <= 3
-    if len(sizes) >= 5:
-        ok = ok and grows_no_faster_than(list(sizes), rounds_by_size, "log")
     result.parameters["fitted_growth_shape"] = shape
     result.matches_paper = ok
     return result

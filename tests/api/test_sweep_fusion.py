@@ -153,7 +153,7 @@ class TestFusionContext:
         prefix = context.codes_for(compiled, 8, seed_base=5, salt="t", mode="fast")
         extended = context.codes_for(compiled, 32, seed_base=5, salt="t", mode="fast")
         one_shot = construction_matrix(
-            compiled, 32, seed=5, mode="fast", trial_seed=lambda t: 5 + t, salt="t"
+            compiled, 32, seed=5, mode="fast", salt="t"
         )
         assert np.array_equal(extended, one_shot)
         assert np.array_equal(grown, one_shot[:20])

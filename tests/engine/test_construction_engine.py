@@ -35,7 +35,6 @@ from repro.core.relaxations import eps_slack, f_resilient
 from repro.engine.construct import (
     MAX_OUTPUT_VALUES,
     ConstructionCompilationError,
-    batched_far_acceptance,
     bernoulli_output,
     compile_construction,
     compile_fused_decision,
@@ -43,6 +42,7 @@ from repro.engine.construct import (
     const_output,
     construction_matrix,
     evaluate_output_expr,
+    far_acceptance_counts,
     is_construction_compilable,
     resolve_construction_engine,
     uniform_choice,
@@ -125,7 +125,6 @@ class TestExactBitIdentity:
             trials,
             seed=seed_base,
             mode="exact",
-            trial_seed=lambda trial: seed_base + trial,
             salt=salt,
         )
         for trial in (0, 7, trials - 1):
@@ -144,7 +143,6 @@ class TestExactBitIdentity:
             trials,
             seed=seed_base,
             mode="exact",
-            trial_seed=lambda trial: seed_base + trial,
             salt="far/construct",
         )
         for trial in range(0, trials, 5):
@@ -184,20 +182,33 @@ class TestExactBitIdentity:
         )
         assert off == exact
 
+    @pytest.mark.parametrize("engine", ["exact", "fast"])
     @pytest.mark.parametrize("seed", DISTANT_SEEDS)
-    def test_choose_anchor_shares_one_matrix_bit_identically(self, seed):
+    def test_choose_anchor_shares_one_matrix_bit_identically(self, seed, engine):
         """The batched anchor choice (one construction pass for all
-        candidates) must agree exactly with the per-candidate reference."""
+        candidates) must agree exactly with the per-candidate estimates —
+        the reference loop for exact mode, the one-anchor stream for fast."""
         network = cycle_network(10)
         constructor = _toy_faulty_constructor(0.4)
         decider = _toy_noisy_decider(0.8)
-        off = choose_anchor(
-            constructor, decider, network, 0, trials=50, seed=seed, engine="off"
+        per_candidate = {
+            node: far_acceptance_probability(
+                constructor,
+                decider,
+                network,
+                node,
+                0,
+                trials=50,
+                seed=seed,
+                engine="off" if engine == "exact" else engine,
+            )
+            for node in network.nodes()
+        }
+        best = min(per_candidate, key=per_candidate.__getitem__)
+        chosen = choose_anchor(
+            constructor, decider, network, 0, trials=50, seed=seed, engine=engine
         )
-        exact = choose_anchor(
-            constructor, decider, network, 0, trials=50, seed=seed, engine="exact"
-        )
-        assert off == exact
+        assert chosen == (best, per_candidate[best])
 
 
 # --------------------------------------------------------------------------- #
@@ -238,18 +249,22 @@ class TestFastMode:
         )
         assert np.array_equal(reference, chunked)
 
-    def test_fused_vote_matrix_is_chunk_invariant(self):
+    @pytest.mark.parametrize("mode", ["exact", "fast"])
+    def test_fused_vote_stream_is_chunk_invariant(self, mode):
         network = cycle_network(16)
         constructor = _toy_faulty_constructor(0.4)
         decider = _toy_noisy_decider(0.8)
         compiled = compile_construction(constructor, network)
         fused = compile_fused_decision(decider, compiled)
-        codes = construction_matrix(compiled, 400, seed=2, mode="fast", salt="s")
-        reference = fused.vote_matrix_fast(codes, 2, "d", max_bytes=1 << 30)
+        codes = construction_matrix(compiled, 400, seed=2, mode=mode, salt="s")
+        reference = fused.vote_stream(2, "d", mode, max_bytes=1 << 30)(codes)
         for max_bytes in (64, 4096):
             assert np.array_equal(
-                reference, fused.vote_matrix_fast(codes, 2, "d", max_bytes=max_bytes)
+                reference, fused.vote_stream(2, "d", mode, max_bytes=max_bytes)(codes)
             )
+        votes_of = fused.vote_stream(2, "d", mode)
+        batches = [votes_of(codes[:1]), votes_of(codes[1:150]), votes_of(codes[150:])]
+        assert np.array_equal(reference, np.concatenate(batches))
 
     def test_fast_acceptance_tracks_closed_form(self):
         """With the all-zeros language and the noisy decider, acceptance is
@@ -359,17 +374,16 @@ class TestFusedDecision:
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert compile_fused_decision(decider, compiled) is None
 
-    def test_batched_far_acceptance_declines_without_fusion(self):
+    def test_far_acceptance_counts_declines_without_fusion(self):
         network = cycle_network(9, ids="consecutive")
         decider = AmplifiedResilientDecider(ProperColoring(3), f=2, repetitions=3)
         assert (
-            batched_far_acceptance(
+            far_acceptance_counts(
                 RandomColoringConstructor(3),
                 decider,
                 network,
                 [network.nodes()[0]],
                 0,
-                10,
                 seed_base=0,
                 construct_salt="c",
                 decide_salt="d",

@@ -77,8 +77,8 @@ class TestExactModeBitIdentity:
         engine = accept_vector(
             compiled,
             trials,
+            seed=seed,
             mode="exact",
-            trial_seed=lambda trial: seed + trial,
             salt=decider.name,
         )
         assert np.array_equal(engine, reference)

@@ -122,6 +122,15 @@ class TestE4LogStar:
         assert rounds[-1] - rounds[0] <= 3
         assert all(row["proper"] for row in result.rows)
 
+    def test_a_two_level_series_within_the_bound_matches(self):
+        """At this seed the rounds are 7, 6, 6, 6, 7, 7, 7: proper, within
+        the Cole–Vishkin bound, spread 0 — a correct run whose least-squares
+        growth fit reads "sqrt".  The fit is reported but must not decide."""
+        result = experiment_e4_logstar_coloring(seed=495_605_148)
+        assert result.column("rounds") == [7, 6, 6, 6, 7, 7, 7]
+        assert result.parameters["fitted_growth_shape"] == "sqrt"
+        assert result.matches_paper
+
 
 class TestE5ResilientDecider:
     def test_small_scale_matches(self):

@@ -24,7 +24,8 @@ from repro.api import Session
 #: (case id, experiment, preset overrides).  Every experiment runs at its
 #: quick preset; E2 is shrunk further so the file stays fast.  Beyond the
 #: default engine, the table covers precision targets, the reference loops
-#: (``engine="off"``) and the vectorized sampler (``engine="fast"``).
+#: (``engine="off"``) and the vectorized sampler (``engine="fast"``),
+#: including the fused construct→decide paths of E6, E8 and E9.
 CASES = (
     ("E1", "E1", {}),
     ("E2", "E2", {"sizes": [30], "eps_values": [0.75], "trials": 30, "decider_trials": 100}),
@@ -41,6 +42,10 @@ CASES = (
     ("E9-off", "E9", {"engine": "off"}),
     ("E5-fast", "E5", {"engine": "fast"}),
     ("E7-fast", "E7", {"engine": "fast"}),
+    ("E6-fast", "E6", {"engine": "fast"}),
+    ("E6-off", "E6", {"engine": "off"}),
+    ("E8-fast", "E8", {"engine": "fast"}),
+    ("E9-fast", "E9", {"engine": "fast"}),
 )
 
 DIGESTS = {
@@ -59,6 +64,10 @@ DIGESTS = {
     "E9-off": "656aed30e1dcee7e72cad0df435bdd7eb7edb1eec90b670254363ab73ccb7ebe",
     "E5-fast": "e7a591d8956a017c1ba989fafe5beb30268aa61a9536dec191123850ecd40ef6",
     "E7-fast": "d95543489677ba59023b43d07508a43cc30b951e115b0de353706d0c9dfd6a21",
+    "E6-fast": "beb50f60b1ea58fde068d222b7708f044fdc1409143938edfd6fa197b1c6f317",
+    "E6-off": "2438bdc8f57574a489b9add2263e22fe62508fa6acff807d73d1e8311bd81199",
+    "E8-fast": "c146168a5f41536247b1572ac07b4360c3b806d3901398b36e5b8721b014e9ad",
+    "E9-fast": "74fb59c2b8c57b60bae19ee3ddce3302d820c899f380184af6f4a2796a4041ff",
 }
 
 

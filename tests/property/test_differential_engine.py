@@ -127,7 +127,6 @@ class TestExactModeIsBitIdenticalToReference:
             3,
             seed=seed,
             mode="exact",
-            trial_seed=lambda trial: seed + trial,
             salt=decider.name,
         )
         from repro.local.randomness import TapeFactory

@@ -232,7 +232,6 @@ class TestVoteProgramProperties:
             trials,
             seed=seed,
             mode="exact",
-            trial_seed=lambda trial: seed + trial,
             salt=decider.name,
         )
         for trial in range(trials):
@@ -294,7 +293,6 @@ class TestOutputProgramProperties:
             trials,
             seed=seed,
             mode="exact",
-            trial_seed=lambda trial: seed + trial,
             salt="prop",
         )
         for trial in range(trials):

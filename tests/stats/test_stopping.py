@@ -21,7 +21,7 @@ from repro.core.lcl import ProperColoring
 from repro.core.relaxations import eps_slack, f_resilient
 from repro.engine.adapters import engine_success_estimate
 from repro.engine.compiler import compile_decision
-from repro.engine.construct import adaptive_far_acceptance, adaptive_success_estimate
+from repro.engine.construct import adaptive_success_estimate, far_acceptance_counts
 from repro.engine.executor import (
     AcceptStream,
     accept_vector,
@@ -319,18 +319,18 @@ class TestFusedStreams:
     @staticmethod
     def _far(mode, target):
         network = cycle_network(30)
-        return adaptive_far_acceptance(
+        counts = far_acceptance_counts(
             _toy_faulty_constructor(0.02),
             _toy_noisy_decider(0.8),
             network,
-            network.nodes()[0],
+            [network.nodes()[0]],
             0,
-            target,
             seed_base=7,
             construct_salt="fused-construct",
             decide_salt="fused-decide",
             mode=mode,
         )
+        return sequential_estimate(target, lambda count: int(counts(count)[0]))
 
     # 40 trials x 30 nodes x 4 bytes = 4800 bytes fit under 6000; the
     # doubled request (80 trials) and the fixed 150 trials no longer do.
